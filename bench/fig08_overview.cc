@@ -49,9 +49,8 @@ BM_FullTrainingRound(benchmark::State &state)
         ids.push_back(d * 10);
     uint64_t round = 0;
     for (auto _ : state) {
-        auto updates = fl.run_local_round(ids, round++);
-        fl.aggregate(updates);
-        benchmark::DoNotOptimize(updates.size());
+        const PsRoundStats stats = fl.run_round(ids, round++);
+        benchmark::DoNotOptimize(stats.applied);
     }
 }
 BENCHMARK(BM_FullTrainingRound)->Unit(benchmark::kMillisecond);

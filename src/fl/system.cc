@@ -1,12 +1,9 @@
 #include "system.h"
 
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "fl/fl_cluster.h"
-#include "ps/executor.h"
 #include "ps/ps_server.h"
 #include "serve/model_service.h"
 #include "store/model_registry.h"
@@ -23,7 +20,13 @@ FlSystemConfig::validate() const
             std::to_string(threads) +
             "): local training needs at least one worker");
     }
-    ps.validate("FlSystemConfig.ps");
+    // Registry publication supplies the snapshot directory itself, so
+    // cadence/retention knobs must stay valid without a bare
+    // snapshot_dir; validate against the directory the run will use.
+    PsConfig ps_view = ps;
+    if (!serve.registry_dir.empty() && ps_view.snapshot_dir.empty())
+        ps_view.snapshot_dir = serve.registry_dir;
+    ps_view.validate("FlSystemConfig.ps");
     serve.validate("FlSystemConfig.serve");
     if (!serve.registry_dir.empty() && !ps.snapshot_dir.empty()) {
         throw std::invalid_argument(
@@ -33,12 +36,13 @@ FlSystemConfig::validate() const
             "registry (registry_dir/<model>), so a bare snapshot_dir "
             "would be silently ignored; set exactly one");
     }
-    if (ps.net.enabled() && algorithm == Algorithm::Fedl) {
+    if (algorithm == Algorithm::Fedl && ps.mode != SyncMode::Sync) {
         throw std::invalid_argument(
-            "FlSystemConfig.ps.net cannot run FEDL: its two-phase "
-            "global-gradient exchange is a synchronous barrier the "
-            "cluster round protocol does not speak; use FedAvg or "
-            "FedProx");
+            "FlSystemConfig.algorithm FEDL requires FlSystemConfig.ps.mode "
+            "Sync (got " + sync_mode_name(ps.mode) + "): its two-phase "
+            "global-gradient exchange is a round barrier, so it runs "
+            "only on the drained Sync round (which also rules out "
+            "ps.net); use FedAvg or FedProx for the other modes");
     }
 }
 
@@ -50,6 +54,17 @@ validated(FlSystemConfig cfg)
 {
     cfg.validate();
     return cfg;
+}
+
+/** One PsServer job per selected device, in selection order. */
+std::vector<PsRoundJob>
+round_jobs(const FlSystem &fl, const std::vector<int> &device_ids)
+{
+    std::vector<PsRoundJob> jobs;
+    jobs.reserve(device_ids.size());
+    for (int dev : device_ids)
+        jobs.push_back(PsRoundJob{dev, &fl.shard(dev)});
+    return jobs;
 }
 
 } // namespace
@@ -72,8 +87,7 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
     // in the configured registry and redirect checkpointing into the
     // model's registry directory — every artifact the run writes
     // becomes a servable name@version the moment its rename lands.
-    // Must precede runtime construction: PsServer and the barrier
-    // writer below both read ps.snapshot_dir.
+    // Must precede the writer below, which reads ps.snapshot_dir.
     if (!cfg_.serve.registry_dir.empty()) {
         store::ModelRegistry registry(cfg_.serve.registry_dir);
         const std::string name = cfg_.serve.model_name.empty()
@@ -103,9 +117,9 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
     }
 
     if (!cfg_.ps.resume_from.empty()) {
-        // Restore BEFORE any runtime is built: PsServer's store, the
-        // cluster and the sync barrier all seed from the server's
-        // weights, so setting them here resumes every runtime alike.
+        // Restore BEFORE any runtime is built: PsServer's store and
+        // the cluster both seed from the server's weights, so setting
+        // them here resumes either runtime alike.
         // The topology hash covers workload name + dimension, so a
         // wrong-model artifact fails typed (BadTopology), not by
         // scattering weights.
@@ -125,23 +139,8 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
         resume_round_ = snap.meta.round;
     }
 
-    if (cfg_.ps.net.enabled()) {
-        // Distributed transport: the cluster owns the store and the
-        // aggregator; it assembles its worker fleet lazily at the
-        // first round so constructing a system stays cheap.
-        cluster_ = std::make_unique<FlCluster>(*this);
-    } else if (cfg_.ps.mode != SyncMode::Sync &&
-               cfg_.algorithm != Algorithm::Fedl) {
-        ps_ = std::make_unique<PsServer>(server_, cfg_.workload,
-                                         cfg_.params, cfg_.hyper,
-                                         cfg_.algorithm, cfg_.seed, cfg_.ps,
-                                         cfg_.threads);
-    }
-
-    // Persistence for the runtimes whose commit point is the round
-    // barrier on this thread (sync, cluster). The ps runtime owns its
-    // own writer, hooked into its commit path instead.
-    if (!cfg_.ps.snapshot_dir.empty() && !ps_) {
+    // The one persistence writer, for whichever runtime trains.
+    if (!cfg_.ps.snapshot_dir.empty()) {
         store::RetentionPolicy retention;
         retention.keep_last = cfg_.ps.snapshot_keep_last;
         retention.pinned = cfg_.ps.snapshot_pinned;
@@ -150,9 +149,21 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
             static_cast<uint32_t>(cfg_.ps.shards), std::move(retention));
     }
 
+    if (cfg_.ps.net.enabled()) {
+        // Distributed transport: the cluster owns the store and the
+        // aggregator; it assembles its worker fleet lazily at the
+        // first round so constructing a system stays cheap.
+        cluster_ = std::make_unique<FlCluster>(*this);
+    } else {
+        ps_ = std::make_unique<PsServer>(server_, cfg_.workload,
+                                         cfg_.params, cfg_.hyper,
+                                         cfg_.algorithm, cfg_.seed, cfg_.ps,
+                                         cfg_.threads, ckpt_.get());
+    }
+
     // The serving plane. Pipelined mode sources snapshots straight from
-    // the store (commit waves publish them); the synchronous and
-    // classic runtimes publish at their round barrier, in evaluate().
+    // the store (commit waves publish them); the classic and cluster
+    // runtimes publish at their round barrier, in evaluate().
     // Slot count covers the concurrent eval pool so its workers never
     // serialize on a shared scratch model.
     ServeConfig scfg = cfg_.serve;
@@ -207,78 +218,6 @@ FlSystem::device_non_iid(int device_id) const
     return partition_.non_iid[static_cast<size_t>(device_id)];
 }
 
-PsExecutor &
-FlSystem::local_executor()
-{
-    if (!local_exec_) {
-        local_exec_ = std::make_unique<PsExecutor>(std::max(1, cfg_.threads));
-        local_trainers_.reserve(
-            static_cast<size_t>(local_exec_->threads()));
-        for (int t = 0; t < local_exec_->threads(); ++t)
-            local_trainers_.push_back(
-                std::make_unique<LocalTrainer>(cfg_.workload));
-    }
-    return *local_exec_;
-}
-
-std::vector<LocalUpdate>
-FlSystem::run_local_round(const std::vector<int> &device_ids, uint64_t round)
-{
-    const size_t n = device_ids.size();
-    std::vector<LocalUpdate> updates(n);
-    PsExecutor &exec = local_executor();
-
-    // FEDL phase 1: clients report full local gradients at the current
-    // global weights; the server averages them into its global-gradient
-    // estimate used by every client's correction term.
-    std::vector<std::vector<float>> fedl_grads;
-    if (server_.wants_full_gradients()) {
-        fedl_grads.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            exec.submit([this, &fedl_grads, &device_ids, i](int worker) {
-                fedl_grads[i] =
-                    local_trainers_[static_cast<size_t>(worker)]
-                        ->full_gradient(server_.global_weights(),
-                                        shard(device_ids[i]));
-            });
-        }
-        exec.wait_idle();
-        server_.update_global_gradient(fedl_grads);
-    }
-
-    // One executor job per client. Placement is dynamic, but each
-    // update is a pure function of (seed, device, round) — never of
-    // the worker running it — so the trained weights are identical at
-    // any thread count (same contract the seed's striped loop had).
-    for (size_t i = 0; i < n; ++i) {
-        exec.submit([this, &updates, &device_ids, &fedl_grads, round,
-                     i](int worker) {
-            const int dev = device_ids[i];
-            if (cfg_.ps.sim_device_latency_s > 0.0) {
-                std::this_thread::sleep_for(std::chrono::duration<double>(
-                    cfg_.ps.sim_latency_for(dev)));
-            }
-            Rng rng = client_rng(cfg_.seed, dev, round);
-            std::vector<float> correction;
-            if (server_.wants_full_gradients())
-                correction = server_.fedl_correction(fedl_grads[i]);
-            updates[i] =
-                local_trainers_[static_cast<size_t>(worker)]->train(
-                    server_.global_weights(), shard(dev), cfg_.params,
-                    cfg_.hyper, cfg_.algorithm, correction, rng);
-            updates[i].device_id = dev;
-        });
-    }
-    exec.wait_idle();
-    return updates;
-}
-
-void
-FlSystem::aggregate(const std::vector<LocalUpdate> &updates)
-{
-    server_.aggregate(updates);
-}
-
 PsRoundStats
 FlSystem::run_round(const std::vector<int> &device_ids, uint64_t round)
 {
@@ -294,29 +233,15 @@ FlSystem::run_round(const std::vector<int> &device_ids, uint64_t round)
         maybe_checkpoint(round);  // Cluster synced the server above.
         return stats;
     }
-    if (!ps_) {
-        auto updates = run_local_round(device_ids, round);
-        aggregate(updates);
-        PsRoundStats stats;
-        stats.pushed = static_cast<int>(updates.size());
-        stats.applied = stats.pushed;
-        stats.commits = updates.empty() ? 0 : 1;
-        maybe_checkpoint(round);
-        return stats;
-    }
-    std::vector<PsRoundJob> jobs;
-    jobs.reserve(device_ids.size());
-    for (int dev : device_ids)
-        jobs.push_back(PsRoundJob{dev, &shard(dev)});
-    return ps_->run_round(jobs, round);
+    return ps_->run_round(round_jobs(*this, device_ids), round);
 }
 
 void
 FlSystem::submit_round(const std::vector<int> &device_ids, uint64_t round,
                        PsRoundCallback cb)
 {
-    if (!ps_) {
-        // Synchronous runtime: the round and its evaluation run inline;
+    if (cluster_) {
+        // Cluster runtime: the round and its evaluation run inline;
         // the callback fires before we return.
         PsRoundResult res;
         res.round = round;
@@ -326,11 +251,7 @@ FlSystem::submit_round(const std::vector<int> &device_ids, uint64_t round,
             cb(res);
         return;
     }
-    std::vector<PsRoundJob> jobs;
-    jobs.reserve(device_ids.size());
-    for (int dev : device_ids)
-        jobs.push_back(PsRoundJob{dev, &shard(dev)});
-    ps_->submit_round(jobs, round, std::move(cb));
+    ps_->submit_round(round_jobs(*this, device_ids), round, std::move(cb));
 }
 
 void
@@ -346,18 +267,12 @@ FlSystem::pipelined() const
     return ps_ && ps_->pipelined();
 }
 
-store::CheckpointWriter *
-FlSystem::checkpoint_writer()
-{
-    return ps_ ? ps_->checkpoint_writer() : ckpt_.get();
-}
-
 void
 FlSystem::maybe_checkpoint(uint64_t round)
 {
-    // Barrier runtimes have no store commit clock; the artifact epoch
-    // counts completed rounds (round + 1), which for single-commit
-    // rounds is exactly what the ps runtimes would stamp.
+    // The cluster's store clock stays on its side of the transport;
+    // the artifact epoch counts completed rounds (round + 1), which for
+    // single-commit rounds is exactly what PsServer would stamp.
     if (ckpt_ && cfg_.ps.snapshot_due(round)) {
         ckpt_->request(round, round + 1,
                        std::make_shared<const std::vector<float>>(
@@ -370,9 +285,9 @@ FlSystem::evaluate()
 {
     // One consumption path for every runtime: snapshot handle in,
     // batched engine eval out. Store-backed services (pipelined mode)
-    // already hold the latest commit snapshot; the barrier runtimes
-    // publish the current global weights as a model version first (a
-    // no-op when the weights haven't changed).
+    // already hold the latest commit snapshot; the classic and cluster
+    // runtimes publish the current global weights as a model version
+    // first (a no-op when the weights haven't changed).
     if (!serve_->store_backed())
         serve_->publish(server_.global_weights());
     return serve_->evaluate(serve_->acquire(), data_.test).accuracy;

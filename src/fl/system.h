@@ -4,7 +4,8 @@
  * aggregation server, and (multithreaded) local training — independent of
  * any scheduling policy. Policies decide *who* trains; FlSystem does the
  * actual learning so accuracy dynamics (IID vs non-IID, straggler drops)
- * are real, not modeled.
+ * are real, not modeled. Rounds run on a PsServer, or on an FlCluster
+ * under cfg.ps.net.
  */
 #ifndef AUTOFL_FL_SYSTEM_H
 #define AUTOFL_FL_SYSTEM_H
@@ -23,7 +24,6 @@
 namespace autofl {
 
 class PsServer;
-class PsExecutor;
 class ModelService;
 class FlCluster;
 
@@ -44,7 +44,9 @@ struct FlSystemConfig
     /**
      * Check the runtime knobs, throwing std::invalid_argument with an
      * actionable message on the first violation. FlSystem's
-     * constructor calls this before building anything.
+     * constructor calls this before building anything. Persistence
+     * knobs are checked against the directory the run will use (the
+     * registry's when serve.registry_dir is set); FEDL requires Sync.
      */
     void validate() const;
 };
@@ -76,27 +78,14 @@ class FlSystem
     const Server &server() const { return server_; }
 
     /**
-     * Run local training on the selected devices, parallel across a
-     * persistent PsExecutor pool (created on first use, reused every
-     * round — client-level parallelism composes with the SIMD kernels
-     * each job runs on). Updates are returned in @p device_ids order
-     * and are a pure function of (seed, device, round), never of job
-     * placement. FEDL's two-phase gradient exchange happens inside
-     * when configured.
+     * Run one round on the selected devices and aggregate it into the
+     * global model: on the PsServer (concurrent jobs, bounded-staleness
+     * aggregation; Sync commits the whole round at once, FEDL runs its
+     * gradient phase first) or, under cfg.ps.net, on the cluster.
+     * Under Sync and SemiAsync(S=0) the trained weights are a pure
+     * function of (seed, device, round), never of job placement or
+     * thread count.
      * @param round Round index (decorrelates per-round client RNG).
-     */
-    std::vector<LocalUpdate> run_local_round(
-        const std::vector<int> &device_ids, uint64_t round);
-
-    /** Aggregate the given (included) updates into the global model. */
-    void aggregate(const std::vector<LocalUpdate> &updates);
-
-    /**
-     * Unified round entry dispatching on cfg.ps.mode: the synchronous
-     * barrier (run_local_round + aggregate) or the parameter-server
-     * runtime (concurrent jobs, bounded-staleness aggregation). FEDL
-     * always takes the synchronous path — its gradient exchange is a
-     * barrier by construction.
      */
     PsRoundStats run_round(const std::vector<int> &device_ids,
                            uint64_t round);
@@ -109,6 +98,7 @@ class FlSystem
      * final store snapshot — once the round retires. Under any other
      * runtime the round (and its evaluation) runs inline and @p cb
      * fires before this returns, so drivers can use one code path.
+     * Sync never pipelines, whatever its depth.
      * Submit from one driver thread, in increasing round order.
      */
     void submit_round(const std::vector<int> &device_ids, uint64_t round,
@@ -120,7 +110,7 @@ class FlSystem
     /** Whether submit_round actually overlaps rounds. */
     bool pipelined() const;
 
-    /** The ps runtime, or null when running synchronously. */
+    /** The in-process ps runtime; null only under cfg.ps.net. */
     PsServer *ps() { return ps_.get(); }
 
     /**
@@ -151,10 +141,10 @@ class FlSystem
 
     /**
      * Whether cfg.ps.resume_from restored an artifact into the server
-     * before any runtime was built. All runtimes seed from the
-     * server's weights (PsServer's store, the cluster, the sync
-     * barrier), so a resumed system continues from the artifact state
-     * no matter which path trains.
+     * before any runtime was built. Both runtimes seed from the
+     * server's weights (PsServer's store, the cluster), so a resumed
+     * system continues from the artifact state no matter which path
+     * trains.
      */
     bool resumed() const { return resumed_; }
 
@@ -167,11 +157,11 @@ class FlSystem
     uint64_t resume_round() const { return resume_round_; }
 
     /**
-     * The active snapshot persistence writer: the ps runtime's when it
-     * owns one, this system's for the sync/cluster runtimes, null when
-     * cfg.ps.snapshot_dir is unset.
+     * The snapshot persistence writer, null when no artifact directory
+     * is set (cfg.ps.snapshot_dir, or the registry's). Callers flush()
+     * it to wait for artifacts on disk.
      */
-    store::CheckpointWriter *checkpoint_writer();
+    store::CheckpointWriter *checkpoint_writer() { return ckpt_.get(); }
 
   private:
     FlSystemConfig cfg_;
@@ -185,30 +175,18 @@ class FlSystem
     // the pipeline, whose queued eval closures call into serve_ — the
     // serving plane must outlive that drain.
     std::unique_ptr<ModelService> serve_;  ///< The serving plane.
-    std::unique_ptr<PsServer> ps_;  ///< Non-null when cfg.ps.mode != Sync.
-    std::unique_ptr<FlCluster> cluster_;  ///< Non-null when ps.net set.
 
-    /**
-     * Snapshot persistence for the runtimes that do NOT own a
-     * PsServer (sync barrier, cluster): their commit point is the
-     * round barrier on this thread, so the system itself requests the
-     * checkpoints (see run_round). Null when ps_ owns the writer or
-     * persistence is off.
-     */
+    // The only persistence writer (null when off). Declared before ps_
+    // for the same reason: the pipeline's retirement hook requests
+    // into it while ~PsServer drains.
     std::unique_ptr<store::CheckpointWriter> ckpt_;
+    std::unique_ptr<PsServer> ps_;  ///< Null only when ps.net is set.
+    std::unique_ptr<FlCluster> cluster_;  ///< Non-null when ps.net set.
     bool resumed_ = false;
     uint64_t resume_round_ = 0;
 
-    /** Barrier-runtime checkpoint point (no-op without ckpt_). */
+    /** The cluster's checkpoint point, at its round barrier. */
     void maybe_checkpoint(uint64_t round);
-
-    // Synchronous-path training pool: lazily created, then reused for
-    // every round (the seed spawned fresh std::threads per round).
-    std::unique_ptr<PsExecutor> local_exec_;
-    std::vector<std::unique_ptr<LocalTrainer>> local_trainers_;
-
-    /** Ensure local_exec_/local_trainers_ exist. */
-    PsExecutor &local_executor();
 };
 
 } // namespace autofl

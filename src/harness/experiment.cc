@@ -298,10 +298,12 @@ run_experiment(const ExperimentConfig &cfg)
     fcfg.ps.resume_from = cfg.resume_from;
     fcfg.serve = cfg.serve;
     FlSystem fl(fcfg);
-    const bool ps_mode = fl.ps() != nullptr || fl.cluster() != nullptr;
+    const bool ps_mode =
+        cfg.sync_mode != SyncMode::Sync || cfg.net.enabled();
 
-    // Under the ps runtime stragglers are evicted by the staleness
-    // bound at aggregation time, not dropped at a simulated deadline.
+    // Sync keeps the paper's round: stragglers drop at a simulated
+    // deadline. The staleness-bounded modes (and the cluster) evict
+    // them at aggregation time instead.
     RoundSimConfig round_sim = cfg.round_sim;
     if (ps_mode)
         round_sim.deadline_multiple = 0.0;

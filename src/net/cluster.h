@@ -57,7 +57,8 @@ class ClusterServer
   public:
     /**
      * @param init_weights Initial global model; fixes the store dim.
-     * @param alg Aggregation algorithm (FEDL is rejected upstream).
+     * @param alg Aggregation algorithm (never FEDL, which runs only
+     *        under Sync).
      * @param cfg Runtime knobs: mode/staleness/shards plus cfg.net
      *        (heartbeats, timeouts). The monitor starts immediately.
      */

@@ -13,7 +13,6 @@ AsyncAggregator::AsyncAggregator(ShardedStore &store, Algorithm alg,
                                  const PsConfig &cfg)
     : store_(store), alg_(alg), cfg_(cfg)
 {
-    assert(alg_ != Algorithm::Fedl);  // FEDL needs a synchronous phase.
 }
 
 size_t
@@ -23,8 +22,10 @@ AsyncAggregator::threshold_for(int expected_updates) const
         return 1;
     // SemiAsync: ceil(K / (S+1)) so a round spans at most S+1 commits;
     // S=0 makes the threshold the whole round (one commit of all-fresh
-    // updates == synchronous FedAvg).
-    const int s = std::max(0, cfg_.staleness_bound);
+    // updates == synchronous FedAvg). Sync is S=0 whatever the bound.
+    const int s = cfg_.mode == SyncMode::Sync
+        ? 0
+        : std::max(0, cfg_.staleness_bound);
     return static_cast<size_t>(
         std::max(1, (expected_updates + s) / (s + 1)));
 }

@@ -25,9 +25,10 @@
  *
  * Two batching disciplines share the commit engine:
  *
- * - **Classic** (begin_round/push/flush; pipeline_depth == 1): one
- *   round at a time, arrival-order batches of ceil(K / (S+1)) pushes
- *   (1 in Async mode), staleness measured against the aggregator clock
+ * - **Classic** (begin_round/push/flush; Sync, or pipeline_depth ==
+ *   1): one round at a time, arrival-order batches of ceil(K / (S+1))
+ *   pushes (1 in Async mode, the whole round in Sync mode, which is
+ *   S=0 by definition), staleness measured against the aggregator clock
  *   at pull time, updates staler than the bound S evicted — exactly the
  *   PR-1 semantics.
  * - **Pipelined** (register_round/push_pipelined): several rounds in
@@ -78,7 +79,8 @@ class AsyncAggregator
   public:
     /**
      * @param store Global model store commits are applied to.
-     * @param alg Aggregation algorithm (FEDL is rejected upstream).
+     * @param alg Aggregation algorithm (FEDL commits on the FedAvg
+     *        branch; its correction lives in the client objective).
      * @param cfg Mode, staleness bound, damping exponents.
      */
     AsyncAggregator(ShardedStore &store, Algorithm alg, const PsConfig &cfg);

@@ -1,11 +1,11 @@
 #include "ps_server.h"
 
-#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <stdexcept>
 #include <thread>
 
+#include "store/checkpoint_writer.h"
 #include "util/rng.h"
 
 namespace autofl {
@@ -134,31 +134,20 @@ PsConfig::validate(const char *who) const
 PsServer::PsServer(Server &server, Workload workload,
                    const FlGlobalParams &params, const TrainHyper &hyper,
                    Algorithm alg, uint64_t seed, const PsConfig &cfg,
-                   int default_threads)
+                   int default_threads, store::CheckpointWriter *ckpt)
     : server_(server), params_(params), hyper_(hyper), alg_(alg),
       seed_(seed), cfg_(cfg),
       store_(server.global_weights(), cfg.shards),
       exec_(cfg.executor_threads > 0 ? cfg.executor_threads :
                                        default_threads),
-      agg_(store_, alg, cfg)
+      agg_(store_, alg, cfg), ckpt_(ckpt)
 {
-    assert(alg != Algorithm::Fedl);
     trainers_.reserve(static_cast<size_t>(exec_.threads()));
     for (int t = 0; t < exec_.threads(); ++t)
         trainers_.push_back(std::make_unique<LocalTrainer>(workload));
 
-    if (!cfg_.snapshot_dir.empty()) {
-        store::RetentionPolicy retention;
-        retention.keep_last = cfg_.snapshot_keep_last;
-        retention.pinned = cfg_.snapshot_pinned;
-        ckpt_ = std::make_unique<store::CheckpointWriter>(
-            cfg_.snapshot_dir,
-            store::model_topology_hash(workload_name(workload),
-                                       server.global_weights().size()),
-            static_cast<uint32_t>(cfg_.shards), std::move(retention));
-    }
-
-    if (cfg_.pipeline_depth > 1) {
+    // Sync stays drained at any depth: its round is one barrier.
+    if (cfg_.mode != SyncMode::Sync && cfg_.pipeline_depth > 1) {
         eval_exec_ = std::make_unique<PsExecutor>(
             std::max(1, cfg_.eval_workers));
         pipeline_ = std::make_unique<RoundPipeline>(
@@ -228,10 +217,28 @@ PsServer::run_round(const std::vector<PsRoundJob> &jobs, uint64_t round)
         return stats;
     }
 
+    // FEDL phase 1: every participant reports its full local gradient
+    // at the round's global weights (the store is drained, so the
+    // Server holds them); the Server averages them into the estimate
+    // each phase-2 job's correction term uses.
+    std::vector<std::vector<float>> fedl_grads;
+    if (server_.wants_full_gradients()) {
+        fedl_grads.resize(jobs.size());
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            exec_.submit([this, &fedl_grads, &jobs, i](int worker) {
+                fedl_grads[i] =
+                    trainers_[static_cast<size_t>(worker)]->full_gradient(
+                        server_.global_weights(), *jobs[i].shard);
+            });
+        }
+        exec_.wait_idle();
+        server_.update_global_gradient(fedl_grads);
+    }
+
     agg_.begin_round(static_cast<int>(jobs.size()));
     for (size_t seq = 0; seq < jobs.size(); ++seq) {
         const PsRoundJob job = jobs[seq];
-        exec_.submit([this, job, seq, round](int worker) {
+        exec_.submit([this, job, seq, round, &fedl_grads](int worker) {
             // Clock first, snapshot second: a commit landing in between
             // makes the recorded staleness an upper bound, never an
             // undercount, so the bound stays honest.
@@ -242,8 +249,11 @@ PsServer::run_round(const std::vector<PsRoundJob> &jobs, uint64_t round)
                     cfg_.sim_latency_for(job.device_id)));
             }
             Rng rng = client_rng(seed_, job.device_id, round);
+            const std::vector<float> correction = fedl_grads.empty()
+                ? std::vector<float>{}
+                : server_.fedl_correction(fedl_grads[seq]);
             LocalUpdate u = trainers_[static_cast<size_t>(worker)]->train(
-                weights, *job.shard, params_, hyper_, alg_, {}, rng);
+                weights, *job.shard, params_, hyper_, alg_, correction, rng);
             u.device_id = job.device_id;
             // The in-process push "wire": encode the delta against the
             // pulled weights and hand the aggregator the decoded

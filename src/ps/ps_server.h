@@ -2,10 +2,11 @@
  * @file
  * PsServer: the parameter-server runtime facade. Owns the sharded model
  * store, the executor pool, the bounded-staleness aggregator and — when
- * PsConfig::pipeline_depth > 1 — the streaming RoundPipeline plus a
- * concurrent snapshot-eval pool. The wrapped synchronous Server keeps
- * model init; its global weights are re-synced from the store whenever
- * the runtime drains.
+ * the mode is not Sync and PsConfig::pipeline_depth > 1 — the streaming
+ * RoundPipeline plus a concurrent snapshot-eval pool. Sync is the
+ * drained runtime at S=0. The wrapped Server keeps model init and the
+ * FEDL gradient estimate; its global weights are re-synced from the
+ * store whenever the runtime drains.
  */
 #ifndef AUTOFL_PS_PS_SERVER_H
 #define AUTOFL_PS_PS_SERVER_H
@@ -40,18 +41,22 @@ class PsServer
     /**
      * @param server Aggregation server holding the initialized model;
      *        must outlive this object. Its weights seed the store.
-     * @param params,hyper,alg,seed The FL job settings (alg must not be
-     *        FEDL, whose gradient exchange is inherently synchronous).
+     * @param params,hyper,alg,seed The FL job settings (FEDL only under
+     *        Sync, see FlSystemConfig::validate).
      * @param cfg Runtime knobs; cfg.executor_threads of 0 falls back to
      *        @p default_threads.
+     * @param ckpt Snapshot persistence writer, or null. Not owned; must
+     *        outlive this object, since ~PsServer drains the pipeline
+     *        whose retirement hook requests into it.
      */
     PsServer(Server &server, Workload workload, const FlGlobalParams &params,
              const TrainHyper &hyper, Algorithm alg, uint64_t seed,
-             const PsConfig &cfg, int default_threads);
+             const PsConfig &cfg, int default_threads,
+             store::CheckpointWriter *ckpt);
 
     ~PsServer();
 
-    /** Whether the streaming pipeline (depth > 1) is active. */
+    /** Whether the streaming pipeline (non-Sync, depth > 1) is active. */
     bool pipelined() const { return pipeline_ != nullptr; }
 
     /**
@@ -63,13 +68,15 @@ class PsServer
     /**
      * Run one round to completion.
      *
-     * Classic mode (pipeline_depth == 1): submit every job (in order —
-     * submission order is the deterministic aggregation order), wait
-     * for the stream to drain, flush the aggregator and write the store
-     * back into the wrapped Server. Jobs pull the freshest
+     * Classic mode (Sync, or pipeline_depth == 1): submit every job (in
+     * order — submission order is the deterministic aggregation order),
+     * wait for the stream to drain, flush the aggregator and write the
+     * store back into the wrapped Server. Jobs pull the freshest
      * per-shard-consistent weights when they *start*, so with more jobs
      * than executor threads later jobs train on mid-round commits — the
-     * semi-async pipeline.
+     * semi-async pipeline. Sync commits once, after every pull: the
+     * FedAvg barrier. FEDL first runs a full-gradient phase over the
+     * same jobs to refresh the Server's global-gradient estimate.
      *
      * Pipelined mode: submit through the pipeline and block for this
      * round's result — correct but sequential; callers wanting overlap
@@ -107,15 +114,6 @@ class PsServer
     /** Per-client error-feedback state (tests/metrics). */
     const ErrorFeedback &error_feedback() const { return error_feedback_; }
 
-    /**
-     * The snapshot persistence writer (null unless cfg.snapshot_dir is
-     * set). Owned here so the checkpoint cadence rides this runtime's
-     * commit path: pipelined rounds persist through the RoundPipeline
-     * retirement hook (zero-copy history snapshot), classic rounds at
-     * their barrier. Callers flush() it to wait for artifacts on disk.
-     */
-    store::CheckpointWriter *checkpoint_writer() { return ckpt_.get(); }
-
   private:
     Server &server_;
     FlGlobalParams params_;
@@ -131,12 +129,7 @@ class PsServer
     ErrorFeedback error_feedback_;   ///< Push-compression residuals.
     std::atomic<uint64_t> push_payload_bytes_{0};
 
-    /**
-     * Snapshot persistence (cfg.snapshot_dir). Declared before the
-     * pipeline: the pipeline's retirement hook enqueues into the
-     * writer, so the pipeline must drain (be destroyed) first.
-     */
-    std::unique_ptr<store::CheckpointWriter> ckpt_;
+    store::CheckpointWriter *ckpt_;  ///< Not owned; null when off.
 
     // Pipelined mode only. Declared after the components they use so
     // the pipeline drains (and the eval pool joins) before any of them

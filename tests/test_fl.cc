@@ -196,11 +196,8 @@ TEST(FlSystem, RoundImprovesAccuracy)
 {
     FlSystem fl(small_system());
     const double before = fl.evaluate();
-    for (int round = 0; round < 5; ++round) {
-        auto updates = fl.run_local_round({0, 1, 2, 3, 4},
-                                          static_cast<uint64_t>(round));
-        fl.aggregate(updates);
-    }
+    for (int round = 0; round < 5; ++round)
+        fl.run_round({0, 1, 2, 3, 4}, static_cast<uint64_t>(round));
     EXPECT_GT(fl.evaluate(), before + 0.1);
 }
 
@@ -212,15 +209,15 @@ TEST(FlSystem, ParallelAndSerialTrainingAgree)
     cfg.threads = 8;
     FlSystem parallel(cfg);
 
-    auto u1 = serial.run_local_round({0, 3, 7, 9}, 0);
-    auto u2 = parallel.run_local_round({0, 3, 7, 9}, 0);
-    ASSERT_EQ(u1.size(), u2.size());
-    for (size_t i = 0; i < u1.size(); ++i) {
-        EXPECT_EQ(u1[i].device_id, u2[i].device_id);
-        ASSERT_EQ(u1[i].weights.size(), u2[i].weights.size());
-        for (size_t j = 0; j < u1[i].weights.size(); j += 97)
-            EXPECT_EQ(u1[i].weights[j], u2[i].weights[j]);
-    }
+    const PsRoundStats s1 = serial.run_round({0, 3, 7, 9}, 0);
+    const PsRoundStats s2 = parallel.run_round({0, 3, 7, 9}, 0);
+    EXPECT_EQ(s1.applied, 4);
+    EXPECT_EQ(s2.applied, s1.applied);
+    const auto &w1 = serial.server().global_weights();
+    const auto &w2 = parallel.server().global_weights();
+    ASSERT_EQ(w1.size(), w2.size());
+    for (size_t j = 0; j < w1.size(); ++j)
+        ASSERT_EQ(w1[j], w2[j]) << "index " << j;
 }
 
 class AlgorithmRoundTest : public ::testing::TestWithParam<Algorithm>
@@ -231,11 +228,8 @@ TEST_P(AlgorithmRoundTest, EveryAlgorithmTrainsEndToEnd)
 {
     FlSystem fl(small_system(GetParam()));
     const double before = fl.evaluate();
-    for (int round = 0; round < 6; ++round) {
-        auto updates = fl.run_local_round({0, 2, 4, 6, 8},
-                                          static_cast<uint64_t>(round));
-        fl.aggregate(updates);
-    }
+    for (int round = 0; round < 6; ++round)
+        fl.run_round({0, 2, 4, 6, 8}, static_cast<uint64_t>(round));
     EXPECT_GT(fl.evaluate(), before)
         << algorithm_name(GetParam()) << " failed to learn";
 }

@@ -35,6 +35,7 @@
 #include "net/wire.h"
 #include "ps/compression.h"
 #include "ps/sharded_store.h"
+#include "reference_barrier.h"
 
 namespace autofl {
 namespace {
@@ -911,18 +912,18 @@ TEST(FlCluster, LoopbackSemiAsyncZeroBoundMatchesSyncBitForBit)
 {
     // The PR's parity guarantee, extended over a transport: the same
     // job routed through Van messages and remote workers must produce
-    // the very same bits as the in-process synchronous barrier. Pushes
+    // the very same bits as the reference barrier round. Pushes
     // carry driver-assigned seqs (the aggregator's sort key), clients
     // derive their RNG from (seed, device, round), and loopback moves
     // float vectors without serialization — so placement and timing
     // cannot leak into the weights.
-    FlSystem sync(cluster_system("", 0));
+    testing::ReferenceBarrier ref(cluster_system("", 0));
     FlSystem clustered(cluster_system("loopback", 3));
 
     for (uint64_t round = 0; round < 3; ++round) {
-        sync.run_round(kRoundIds, round);
+        ref.run_round(kRoundIds, round);
         clustered.run_round(kRoundIds, round);
-        const auto &a = sync.server().global_weights();
+        const auto &a = ref.weights();
         const auto &b = clustered.server().global_weights();
         ASSERT_EQ(a.size(), b.size());
         for (size_t i = 0; i < a.size(); ++i)

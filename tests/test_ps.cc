@@ -2,12 +2,16 @@
  * @file
  * Parameter-server runtime tests: ShardedStore shard math and
  * versioning, PsExecutor scheduling, and the aggregation-equivalence
- * guarantees — SemiAsync with staleness bound 0 reproduces synchronous
- * FedAvg bit-for-bit, and results never depend on thread count.
+ * guarantees — Sync and SemiAsync with staleness bound 0 reproduce the
+ * reference barrier round bit-for-bit for every algorithm, and results
+ * never depend on thread count.
  */
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +19,7 @@
 #include "ps/executor.h"
 #include "ps/ps_server.h"
 #include "ps/sharded_store.h"
+#include "reference_barrier.h"
 
 namespace autofl {
 namespace {
@@ -155,64 +160,115 @@ ps_system(SyncMode mode, int staleness_bound, int threads,
 
 const std::vector<int> kRoundIds = {0, 3, 5, 7, 9, 11};
 
+/** Bit-exact weight comparison with a per-index failure message. */
+void
+expect_same_bits(const std::vector<float> &a, const std::vector<float> &b,
+                 uint64_t round)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(a[i], b[i]) << "round " << round << " index " << i;
+}
+
 TEST(PsRuntime, SemiAsyncZeroBoundMatchesSyncBitForBit)
 {
-    FlSystem sync(ps_system(SyncMode::Sync, 0, 4));
+    testing::ReferenceBarrier ref(ps_system(SyncMode::Sync, 0, 4));
     FlSystem semi(ps_system(SyncMode::SemiAsync, 0, 4));
 
     for (uint64_t round = 0; round < 3; ++round) {
-        const PsRoundStats sync_stats = sync.run_round(kRoundIds, round);
+        ref.run_round(kRoundIds, round);
         const PsRoundStats semi_stats = semi.run_round(kRoundIds, round);
-        EXPECT_EQ(sync_stats.applied, semi_stats.applied);
+        EXPECT_EQ(semi_stats.applied, static_cast<int>(kRoundIds.size()));
         EXPECT_EQ(semi_stats.evicted, 0);
         EXPECT_EQ(semi_stats.commits, 1);
         EXPECT_EQ(semi_stats.max_staleness, 0);
-
-        const auto &a = sync.server().global_weights();
-        const auto &b = semi.server().global_weights();
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t i = 0; i < a.size(); ++i)
-            ASSERT_EQ(a[i], b[i]) << "round " << round << " index " << i;
+        expect_same_bits(ref.weights(), semi.server().global_weights(),
+                         round);
     }
 }
 
 TEST(PsRuntime, SemiAsyncZeroBoundMatchesSyncFedNova)
 {
-    FlSystem sync(ps_system(SyncMode::Sync, 0, 4, Algorithm::FedNova));
+    testing::ReferenceBarrier ref(
+        ps_system(SyncMode::Sync, 0, 4, Algorithm::FedNova));
     FlSystem semi(ps_system(SyncMode::SemiAsync, 0, 4, Algorithm::FedNova));
 
     for (uint64_t round = 0; round < 2; ++round) {
-        sync.run_round(kRoundIds, round);
+        ref.run_round(kRoundIds, round);
         semi.run_round(kRoundIds, round);
-        const auto &a = sync.server().global_weights();
-        const auto &b = semi.server().global_weights();
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t i = 0; i < a.size(); ++i)
-            ASSERT_EQ(a[i], b[i]) << "round " << round << " index " << i;
+        expect_same_bits(ref.weights(), semi.server().global_weights(),
+                         round);
     }
 }
 
 TEST(PsRuntime, WeightsIndependentOfThreadCount)
 {
-    // Serial vs parallel, for both the synchronous path and the ps
-    // runtime at S=0: the client seed derives from (seed, device,
-    // round), never from the worker thread.
+    // Serial vs parallel, for both Sync and the ps runtime at S=0,
+    // against the serial reference barrier: the client seed derives
+    // from (seed, device, round), never from the worker thread.
+    testing::ReferenceBarrier ref(ps_system(SyncMode::Sync, 0, 1));
     FlSystem sync1(ps_system(SyncMode::Sync, 0, 1));
     FlSystem sync8(ps_system(SyncMode::Sync, 0, 8));
     FlSystem semi1(ps_system(SyncMode::SemiAsync, 0, 1));
     FlSystem semi4(ps_system(SyncMode::SemiAsync, 0, 4));
 
     for (uint64_t round = 0; round < 2; ++round) {
+        ref.run_round(kRoundIds, round);
         sync1.run_round(kRoundIds, round);
         sync8.run_round(kRoundIds, round);
         semi1.run_round(kRoundIds, round);
         semi4.run_round(kRoundIds, round);
     }
-    const auto &a = sync1.server().global_weights();
+    const auto &a = ref.weights();
+    EXPECT_EQ(a, sync1.server().global_weights());
     EXPECT_EQ(a, sync8.server().global_weights());
     EXPECT_EQ(a, semi1.server().global_weights());
     EXPECT_EQ(a, semi4.server().global_weights());
 }
+
+/** (algorithm, executor threads) for the Sync-is-S=0 matrix. */
+using SyncCase = std::tuple<Algorithm, int>;
+
+class SyncMatchesReferenceTest : public ::testing::TestWithParam<SyncCase>
+{
+};
+
+TEST_P(SyncMatchesReferenceTest, DefaultStalenessBoundIsBitExact)
+{
+    // Sync ignores staleness_bound: left at its default of 1 it must
+    // still commit each round once, after every pull — the barrier.
+    const auto [alg, threads] = GetParam();
+    FlSystemConfig cfg = ps_system(SyncMode::Sync, 0, threads, alg);
+    cfg.ps.staleness_bound = PsConfig{}.staleness_bound;
+    ASSERT_EQ(cfg.ps.staleness_bound, 1);
+    testing::ReferenceBarrier ref(cfg);
+    FlSystem sync(cfg);
+    ASSERT_NE(sync.ps(), nullptr);
+    ASSERT_FALSE(sync.pipelined());
+
+    for (uint64_t round = 0; round < 3; ++round) {
+        ref.run_round(kRoundIds, round);
+        const PsRoundStats st = sync.run_round(kRoundIds, round);
+        EXPECT_EQ(st.applied, static_cast<int>(kRoundIds.size()));
+        EXPECT_EQ(st.evicted, 0);
+        EXPECT_EQ(st.commits, 1);
+        EXPECT_EQ(st.max_staleness, 0);
+        expect_same_bits(ref.weights(), sync.server().global_weights(),
+                         round);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AlgorithmsAndThreads, SyncMatchesReferenceTest,
+    ::testing::Combine(::testing::Values(Algorithm::FedAvg,
+                                         Algorithm::FedProx,
+                                         Algorithm::FedNova,
+                                         Algorithm::Fedl),
+                       ::testing::Values(1, 4)),
+    [](const auto &info) {
+        return algorithm_name(std::get<0>(info.param)) + "_threads" +
+            std::to_string(std::get<1>(info.param));
+    });
 
 TEST(PsRuntime, SemiAsyncAccountsForEveryPush)
 {
@@ -243,12 +299,23 @@ TEST(PsRuntime, AsyncModeCommitsPerUpdateAndStaysFinite)
         ASSERT_TRUE(std::isfinite(w));
 }
 
-TEST(PsRuntime, FedlFallsBackToSynchronousRuntime)
+TEST(PsRuntime, FedlOutsideSyncIsRejected)
 {
-    FlSystem fl(ps_system(SyncMode::SemiAsync, 0, 2, Algorithm::Fedl));
-    EXPECT_EQ(fl.ps(), nullptr);
-    const PsRoundStats st = fl.run_round(kRoundIds, 0);
-    EXPECT_EQ(st.applied, static_cast<int>(kRoundIds.size()));
+    // FEDL's gradient exchange is a round barrier: under SemiAsync or
+    // Async it would run something other than what the mode names.
+    for (SyncMode mode : {SyncMode::SemiAsync, SyncMode::Async}) {
+        try {
+            FlSystem fl(ps_system(mode, 0, 2, Algorithm::Fedl));
+            FAIL() << "expected rejection: FEDL under "
+                   << sync_mode_name(mode);
+        } catch (const std::invalid_argument &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("FEDL"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("Sync"), std::string::npos) << msg;
+        }
+    }
+    EXPECT_NO_THROW(
+        ps_system(SyncMode::Sync, 0, 2, Algorithm::Fedl).validate());
 }
 
 TEST(PsRuntime, StoreVersionsAdvanceWithCommits)

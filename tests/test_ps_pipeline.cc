@@ -18,6 +18,7 @@
 #include "fl/system.h"
 #include "ps/ps_server.h"
 #include "ps/sharded_store.h"
+#include "reference_barrier.h"
 
 namespace autofl {
 namespace {
@@ -130,14 +131,14 @@ stream_rounds(FlSystem &fl, int rounds)
 TEST(RoundPipeline, Depth1SemiAsyncZeroBoundMatchesSyncBitForBit)
 {
     // The invariant that makes the refactor safe to land: the drained
-    // pipeline at S=0 is the synchronous path, bit for bit.
-    FlSystem sync(pipeline_system(SyncMode::Sync, 0, 4, 1));
+    // pipeline at S=0 is the reference barrier round, bit for bit.
+    testing::ReferenceBarrier ref(pipeline_system(SyncMode::Sync, 0, 4, 1));
     FlSystem semi(pipeline_system(SyncMode::SemiAsync, 0, 4, 1));
 
     for (uint64_t round = 0; round < 3; ++round) {
-        sync.run_round(kRoundIds, round);
+        ref.run_round(kRoundIds, round);
         semi.run_round(kRoundIds, round);
-        const auto &a = sync.server().global_weights();
+        const auto &a = ref.weights();
         const auto &b = semi.server().global_weights();
         ASSERT_EQ(a.size(), b.size());
         for (size_t i = 0; i < a.size(); ++i)
@@ -149,18 +150,18 @@ TEST(RoundPipeline, PipelinedSemiAsyncZeroBoundMatchesSyncBitForBit)
 {
     // At S=0 each round is one commit, so the pipelined pull epoch is
     // exactly "all previous commits" — streaming four rounds deep must
-    // still reproduce the synchronous weights bit for bit.
+    // still reproduce the reference barrier's weights bit for bit.
     constexpr int kRounds = 5;
-    FlSystem sync(pipeline_system(SyncMode::Sync, 0, 4, 1));
+    testing::ReferenceBarrier ref(pipeline_system(SyncMode::Sync, 0, 4, 1));
     for (uint64_t round = 0; round < kRounds; ++round)
-        sync.run_round(kRoundIds, round);
+        ref.run_round(kRoundIds, round);
 
     FlSystem piped(pipeline_system(SyncMode::SemiAsync, 0, 4, 4));
     ASSERT_TRUE(piped.pipelined());
     const auto results = stream_rounds(piped, kRounds);
     ASSERT_EQ(results.size(), static_cast<size_t>(kRounds));
 
-    const auto &a = sync.server().global_weights();
+    const auto &a = ref.weights();
     const auto &b = piped.server().global_weights();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "fl/system.h"
+#include "harness/experiment.h"
+#include "reference_barrier.h"
 #include "serve/model_service.h"
 #include "serve/serving_gateway.h"
 #include "store/checkpoint_writer.h"
@@ -457,8 +459,8 @@ run_rounds(FlSystem &fl, uint64_t first, uint64_t last)
  * the artifact at round R, build a fresh system resuming from it, run
  * the remaining rounds, and the final weights must be bit-identical
  * to the uninterrupted run. Holds for every runtime whose rounds
- * commit in a single batch (Sync; SemiAsync S=0 classic and pipelined
- * — the same contract SemiAsync(S=0) == Sync sets).
+ * commit in a single batch (Sync; SemiAsync S=0 classic and pipelined),
+ * and the uninterrupted run itself must be the reference barrier's.
  */
 void
 expect_bit_exact_resume(FlSystemConfig cfg, const std::string &tag)
@@ -472,6 +474,11 @@ expect_bit_exact_resume(FlSystemConfig cfg, const std::string &tag)
     FlSystem ref(ref_cfg);
     run_rounds(ref, 0, kRounds - 1);
     const std::vector<float> expect = ref.server().global_weights();
+    testing::ReferenceBarrier oracle(cfg);
+    for (uint64_t r = 0; r < kRounds; ++r)
+        oracle.run_round(participants(r, ref.num_devices(), 4), r);
+    ASSERT_EQ(oracle.weights(), expect)
+        << tag << ": uninterrupted run diverged from the reference barrier";
 
     // Interrupted run: checkpoint every round, stop after kCut.
     FlSystemConfig a_cfg = cfg;
@@ -792,6 +799,70 @@ TEST(Registry, CorruptManifestAndArtifactAreTypedNeverThrown)
     std::vector<RegistryModel> models;
     ASSERT_EQ(reg.scan(&models), RegistryStatus::Ok);
     EXPECT_TRUE(models.empty());
+}
+
+// --------------------------------------------- registry retention ----
+
+/** Versions of @p name on disk in the registry at @p dir. */
+std::vector<uint64_t>
+registry_versions(const std::string &dir, const std::string &name)
+{
+    RegistryModel m;
+    EXPECT_EQ(ModelRegistry(dir).lookup(name, &m), RegistryStatus::Ok);
+    return m.versions;
+}
+
+TEST(RegistryRetention, FlSystemPrunesOldVersions)
+{
+    // Registry publication supplies the artifact directory, so cadence
+    // and retention must validate without a bare snapshot_dir.
+    const ScratchDir dir("registry_retention_fl");
+    FlSystemConfig cfg = small_job(1, -1);
+    cfg.serve.registry_dir = dir;
+    cfg.serve.model_name = "kept";
+    cfg.ps.snapshot_keep_last = 2;
+    cfg.ps.snapshot_every_epochs = 2;  // Rounds 1, 3, 5, 7.
+    FlSystem fl(cfg);
+    ASSERT_NE(fl.checkpoint_writer(), nullptr);
+    for (uint64_t r = 0; r < 8; ++r) {
+        run_rounds(fl, r, r);
+        fl.checkpoint_writer()->flush();  // Serialize: nothing dropped.
+    }
+    const auto st = fl.checkpoint_writer()->stats();
+    EXPECT_EQ(st.written, 4u);
+    EXPECT_EQ(st.deleted, 2u);
+    EXPECT_EQ(registry_versions(dir, "kept"),
+              (std::vector<uint64_t>{5, 7}));
+}
+
+TEST(RegistryRetention, RunExperimentPrunesOldVersions)
+{
+    const ScratchDir dir("registry_retention_exp");
+    ExperimentConfig cfg;
+    cfg.workload = Workload::CnnMnist;
+    cfg.setting = ParamSetting::S3;
+    cfg.variance = VarianceScenario::None;
+    cfg.max_rounds = 8;
+    cfg.target_accuracy = 2.0;  // Never reached: run all rounds.
+    cfg.train_samples = 800;
+    cfg.test_samples = 200;
+    cfg.threads = 4;
+    cfg.policy = PolicyKind::FedAvgRandom;
+    cfg.serve.registry_dir = dir;
+    cfg.serve.model_name = "kept";
+    cfg.snapshot_keep_last = 2;
+    cfg.snapshot_every_epochs = 2;
+    const ExperimentResult res = run_experiment(cfg);
+    ASSERT_EQ(res.rounds.size(), 8u);
+
+    // The writer drains on teardown, so the last due round (7) is on
+    // disk; at most the newest two cadence versions survive pruning.
+    const std::vector<uint64_t> versions = registry_versions(dir, "kept");
+    ASSERT_FALSE(versions.empty());
+    EXPECT_LE(versions.size(), 2u);
+    EXPECT_EQ(versions.back(), 7u);
+    for (uint64_t v : versions)
+        EXPECT_EQ(v % 2, 1u) << "version " << v << " is off the cadence";
 }
 
 // ------------------------------------------- registry serving round trip
