@@ -127,8 +127,8 @@ FlCluster::run_round(const std::vector<int> &device_ids, uint64_t round)
     for (int dev : device_ids)
         jobs.push_back(net::ClusterJob{dev});
     PsRoundStats stats = cluster_->run_round(jobs, round);
-    // Same barrier contract as the classic runtime: after the round the
-    // Server's weights ARE the store, so evaluate() and the serving
+    // Same barrier contract as the drained ps runtime: after the round
+    // the Server's weights ARE the store, so evaluate() and the serving
     // plane consume cluster rounds unchanged.
     sys_.server().set_global_weights(cluster_->store().read());
     return stats;

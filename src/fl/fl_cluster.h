@@ -7,10 +7,11 @@
  * worker processes over Unix/TCP sockets (spawned from
  * cfg.ps.net.spawn_cmd, or attached externally).
  *
- * Rounds route through ClusterServer::run_round and the trained store
- * is synced back into the Server after every round, so evaluate() and
- * the serving plane work unchanged — a cluster-backed FlSystem is
- * observationally the classic one, just with the workers elsewhere.
+ * Rounds route through ClusterServer::run_round — the same structural
+ * commit rule as the in-process runtime — and the trained store is
+ * synced back into the Server after every round, so evaluate() and the
+ * serving plane work unchanged: a cluster-backed FlSystem produces the
+ * in-process weights, just with the workers elsewhere.
  */
 #ifndef AUTOFL_FL_FL_CLUSTER_H
 #define AUTOFL_FL_FL_CLUSTER_H

@@ -161,8 +161,8 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
                                          cfg_.threads, ckpt_.get());
     }
 
-    // The serving plane. Pipelined mode sources snapshots straight from
-    // the store (commit waves publish them); the classic and cluster
+    // The serving plane. Streaming mode sources snapshots straight from
+    // the store (commit waves publish them); the drained and cluster
     // runtimes publish at their round barrier, in evaluate().
     // Slot count covers the concurrent eval pool so its workers never
     // serialize on a shared scratch model.
@@ -175,9 +175,9 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
 
     if (ps_) {
         // Snapshot scorer for the runtime's eval path. Accuracy is an
-        // integer count, deterministic at any fan-out; the pipelined
-        // eval pool parallelizes across snapshots (fan-out 1 per call)
-        // while the classic barrier fans one call out across slots.
+        // integer count, deterministic at any fan-out; streaming, the
+        // eval pool parallelizes across snapshots (fan-out 1 per call),
+        // while a drained round's one call fans out across slots.
         const int fan_out = ps_->pipelined() ? 1 : 0;
         ps_->set_eval_fn([this, fan_out](const StoreSnapshot &snap) {
             return serve_->evaluate(SnapshotHandle(snap), data_.test,
@@ -284,8 +284,8 @@ double
 FlSystem::evaluate()
 {
     // One consumption path for every runtime: snapshot handle in,
-    // batched engine eval out. Store-backed services (pipelined mode)
-    // already hold the latest commit snapshot; the classic and cluster
+    // batched engine eval out. Store-backed services (streaming mode)
+    // already hold the latest commit snapshot; the drained and cluster
     // runtimes publish the current global weights as a model version
     // first (a no-op when the weights haven't changed).
     if (!serve_->store_backed())

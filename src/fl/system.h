@@ -82,9 +82,9 @@ class FlSystem
      * global model: on the PsServer (concurrent jobs, bounded-staleness
      * aggregation; Sync commits the whole round at once, FEDL runs its
      * gradient phase first) or, under cfg.ps.net, on the cluster.
-     * Under Sync and SemiAsync(S=0) the trained weights are a pure
-     * function of (seed, device, round), never of job placement or
-     * thread count.
+     * In every mode the trained weights are a pure function of (seed,
+     * device, round), never of job placement, thread count, pipeline
+     * depth or transport.
      * @param round Round index (decorrelates per-round client RNG).
      */
     PsRoundStats run_round(const std::vector<int> &device_ids,

@@ -380,10 +380,10 @@ run_experiment(const ExperimentConfig &cfg)
     }
 
     // Streaming round loop. Everything below speaks the submit/callback
-    // protocol; under the classic runtimes submit_round completes (and
-    // its callback fires) inline, so depth_limit 1 reproduces the old
-    // blocking loop exactly. Under the pipelined ps runtime up to
-    // pipeline_depth rounds stay in flight: the scheduler selects and
+    // protocol; under the drained and cluster runtimes submit_round
+    // completes (and its callback fires) before it returns, so
+    // depth_limit 1 is a blocking loop. Under the streaming ps runtime
+    // up to pipeline_depth rounds stay in flight: the scheduler selects and
     // submits round t+1 while round t is still draining, and observes
     // each round's outcome — evaluated concurrently from the round's
     // final store snapshot — with a lag of up to depth rounds.

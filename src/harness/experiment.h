@@ -54,8 +54,9 @@ struct ExperimentConfig
     int ps_shards = 8;        ///< Model-store lock stripes.
 
     /**
-     * Rounds the ps runtime keeps in flight (1 = classic drained
-     * rounds). Above 1 the harness round loop goes streaming: it
+     * Rounds the ps runtime keeps in flight (1 = drained rounds); a
+     * throughput knob only, the weights are the same at every depth.
+     * Above 1 the harness round loop goes streaming: it
      * selects and submits round t+1 while round t is still draining,
      * and consumes results — evaluated concurrently from store
      * snapshots — with a lag of up to pipeline_depth rounds.
@@ -76,7 +77,7 @@ struct ExperimentConfig
      * Push-path update compression (ps/compression.h). Shrinks the
      * simulated uplink (download stays full f32) and, on the real
      * runtimes, replaces raw pushes with encoded deltas under error
-     * feedback. Requires a non-Sync sync_mode and pipeline_depth == 1.
+     * feedback. Requires pipeline_depth == 1.
      */
     CompressionConfig compression;
 

@@ -9,6 +9,24 @@
 
 namespace autofl::net {
 
+namespace {
+
+/** A push's update: provenance from the message, @p weights as given. */
+LocalUpdate
+update_from(const Message &m, std::vector<float> weights)
+{
+    LocalUpdate u;
+    u.device_id = m.ints[0];
+    u.num_steps = m.ints[1];
+    u.num_samples = m.ints[2];
+    u.train_loss = m.doubles[0];
+    u.train_acc = m.doubles[1];
+    u.weights = std::move(weights);
+    return u;
+}
+
+} // namespace
+
 ClusterServer::ClusterServer(std::vector<float> init_weights, Algorithm alg,
                              const PsConfig &cfg)
     : cfg_(cfg), store_(std::move(init_weights), cfg.shards),
@@ -18,6 +36,18 @@ ClusterServer::ClusterServer(std::vector<float> init_weights, Algorithm alg,
                    evict_node(node, "heartbeat timeout", silent_ms);
                })
 {
+    base_ = store_.latest_snapshot();
+    snapshots_[base_.epoch] = base_.weights;
+    agg_.set_hooks(
+        [this](const StoreSnapshot &snap) {
+            std::lock_guard<std::mutex> lk(round_mu_);
+            snapshots_[snap.epoch] = snap.weights;
+        },
+        [this](uint64_t, const PsRoundStats &stats, uint64_t) {
+            std::lock_guard<std::mutex> lk(round_mu_);
+            retired_ = stats;
+            round_cv_.notify_all();
+        });
     monitor_.start();
 }
 
@@ -123,16 +153,21 @@ ClusterServer::handle(Peer *peer, Message &&m)
           return;
       }
       case MsgType::PullReq: {
-          // Clock first, weights second: a commit landing in between
-          // makes the recorded staleness an upper bound, never an
-          // undercount (same discipline as the in-process runtime).
+          // Every pull of the round answers from its pinned base, so
+          // all of the round's jobs train on the same weights wherever
+          // and whenever they run.
+          StoreSnapshot base;
+          {
+              std::lock_guard<std::mutex> lk(round_mu_);
+              base = base_;
+          }
+          const std::vector<float> &full = *base.weights;
           Message resp;
           resp.type = MsgType::PullResp;
           resp.from = Postoffice::kServerId;
           resp.round = m.round;
           resp.seq = m.seq;
-          resp.clock = agg_.clock();
-          std::vector<float> full = store_.read();
+          resp.clock = base.epoch;
           if (m.ints.size() == 2) {
               // Ranged pull: shard interval [lo, hi) in store stripes.
               const int lo = m.ints[0], hi = m.ints[1];
@@ -148,11 +183,7 @@ ClusterServer::handle(Peer *peer, Message &&m)
                                  full.begin() + static_cast<long>(end));
           } else {
               resp.ints = {0, static_cast<int32_t>(store_.dim())};
-              resp.floats = std::move(full);
-              if (cfg_.compression.enabled()) {
-                  std::lock_guard<std::mutex> lk(round_mu_);
-                  pull_cache_[{peer->id, m.seq}] = resp.floats;
-              }
+              resp.floats = full;
           }
           peer->van->send(std::move(resp));
           return;
@@ -166,35 +197,10 @@ ClusterServer::handle(Peer *peer, Message &&m)
                            peer->id, m.floats.size(), store_.dim());
               return;
           }
-          bool accept = false;
-          {
-              std::lock_guard<std::mutex> lk(round_mu_);
-              auto it = outstanding_.find(peer->id);
-              if (round_active_ && m.round == current_round_ &&
-                  it != outstanding_.end()) {
-                  auto &seqs = it->second;
-                  auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
-                  if (sit != seqs.end()) {
-                      seqs.erase(sit);
-                      accept = true;
-                  }
-              }
-          }
-          if (!accept)
+          if (!claim(peer->id, m, nullptr))
               return;  // Late push from an evicted/stale round.
-          LocalUpdate u;
-          u.device_id = m.ints[0];
-          u.num_steps = m.ints[1];
-          u.num_samples = m.ints[2];
-          u.train_loss = m.doubles[0];
-          u.train_acc = m.doubles[1];
-          u.weights = std::move(m.floats);
-          agg_.push(PsPush{std::move(u), m.seq, m.clock});
-          {
-              std::lock_guard<std::mutex> lk(round_mu_);
-              ++arrived_;
-              round_cv_.notify_all();
-          }
+          agg_.push(m.round, PsPush{update_from(m, std::move(m.floats)),
+                                    m.seq});
           return;
       }
       case MsgType::PushDelta: {
@@ -212,61 +218,17 @@ ClusterServer::handle(Peer *peer, Message &&m)
                            peer->id, wire_status_name(ws));
               return;
           }
-          bool accept = false;
-          std::vector<float> pulled;
-          {
-              std::lock_guard<std::mutex> lk(round_mu_);
-              auto it = outstanding_.find(peer->id);
-              if (round_active_ && m.round == current_round_ &&
-                  it != outstanding_.end()) {
-                  auto &seqs = it->second;
-                  auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
-                  if (sit != seqs.end()) {
-                      seqs.erase(sit);
-                      accept = true;
-                      auto pit = pull_cache_.find({peer->id, m.seq});
-                      if (pit != pull_cache_.end()) {
-                          pulled = std::move(pit->second);
-                          pull_cache_.erase(pit);
-                      }
-                  }
-              }
-          }
-          if (!accept)
+          StoreSnapshot base;
+          if (!claim(peer->id, m, &base))
               return;  // Late delta from an evicted/stale round.
-          if (pulled.size() != store_.dim()) {
-              // The job was claimed but its pull base is gone (e.g. a
-              // codec mismatch between worker and server config); the
-              // update is unreconstructable. Account it as lost so the
-              // round completes instead of hanging on this seq.
-              std::fprintf(stderr,
-                           "[net] worker %d push-delta seq %llu has no "
-                           "cached pull base; counting as lost\n",
-                           peer->id,
-                           static_cast<unsigned long long>(m.seq));
-              std::lock_guard<std::mutex> lk(round_mu_);
-              ++lost_;
-              round_cv_.notify_all();
-              return;
-          }
-          LocalUpdate u;
-          u.device_id = m.ints[0];
-          u.num_steps = m.ints[1];
-          u.num_samples = m.ints[2];
-          u.train_loss = m.doubles[0];
-          u.train_acc = m.doubles[1];
           // Reconstruct the absolute weights the worker trained to:
-          // the exact pulled payload plus the decoded delta — the same
+          // the round's pull base plus the decoded delta — the same
           // floats the in-process runtime's decode-before-commit hands
           // its aggregator.
-          u.weights = std::move(pulled);
-          kernels::vadd(u.weights.size(), delta.data(), u.weights.data());
-          agg_.push(PsPush{std::move(u), m.seq, m.clock});
-          {
-              std::lock_guard<std::mutex> lk(round_mu_);
-              ++arrived_;
-              round_cv_.notify_all();
-          }
+          std::vector<float> weights = *base.weights;
+          kernels::vadd(weights.size(), delta.data(), weights.data());
+          agg_.push(m.round, PsPush{update_from(m, std::move(weights)),
+                                    m.seq});
           return;
       }
       case MsgType::BarrierAck: {
@@ -295,31 +257,44 @@ ClusterServer::send_to(int id, Message m)
     return peers_[static_cast<size_t>(id - 1)]->van->send(std::move(m));
 }
 
+bool
+ClusterServer::claim(int node, const Message &m, StoreSnapshot *base)
+{
+    std::lock_guard<std::mutex> lk(round_mu_);
+    auto it = outstanding_.find(node);
+    if (m.round != current_round_ || it == outstanding_.end())
+        return false;
+    auto &seqs = it->second;
+    auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
+    if (sit == seqs.end())
+        return false;
+    seqs.erase(sit);
+    if (base)
+        *base = base_;
+    return true;
+}
+
 void
 ClusterServer::evict_node(int id, const char *why, int silent_ms)
 {
-    size_t evicted = 0;
+    std::vector<uint64_t> seqs;
+    uint64_t round = 0;
     {
         std::lock_guard<std::mutex> lk(round_mu_);
         auto it = outstanding_.find(id);
         if (it != outstanding_.end()) {
-            evicted = it->second.size();
-            lost_ += static_cast<int>(evicted);
+            seqs = std::move(it->second);
             outstanding_.erase(it);
         }
-        for (auto pit = pull_cache_.begin(); pit != pull_cache_.end();) {
-            if (pit->first.first == id)
-                pit = pull_cache_.erase(pit);
-            else
-                ++pit;
-        }
-        // Account before waking the round waiter: run_round returns as
-        // soon as the notify lands, and callers read dead_evictions()
-        // right after.
-        dead_evictions_ += evicted;
-        round_cv_.notify_all();
+        round = current_round_;
+        // Account before the drops: the last one retires the round,
+        // run_round returns, and callers read dead_evictions() right
+        // after.
+        dead_evictions_ += seqs.size();
         barrier_cv_.notify_all();
     }
+    for (uint64_t seq : seqs)
+        agg_.drop(round, seq);
     std::fprintf(stderr,
                  "[net] worker %d gone (%s%s); evicting %zu in-flight "
                  "job%s as stale\n",
@@ -327,45 +302,45 @@ ClusterServer::evict_node(int id, const char *why, int silent_ms)
                  silent_ms > 0 ?
                      (" after " + std::to_string(silent_ms) + " ms").c_str() :
                      "",
-                 evicted, evicted == 1 ? "" : "s");
+                 seqs.size(), seqs.size() == 1 ? "" : "s");
 }
 
 PsRoundStats
 ClusterServer::run_round(const std::vector<ClusterJob> &jobs, uint64_t round)
 {
     const int n = static_cast<int>(jobs.size());
-    PsRoundStats stats;
+    const RoundPlan plan = agg_.register_round(round, n);
     if (n == 0)
-        return stats;
+        return PsRoundStats{};
     const std::vector<int> ids = po_.alive_workers();
-    if (ids.empty()) {
-        std::fprintf(stderr,
-                     "[net] round %llu: no alive workers; evicting all %d "
-                     "jobs\n",
-                     static_cast<unsigned long long>(round), n);
-        stats.evicted = n;
-        dead_evictions_ += static_cast<uint64_t>(n);
-        return stats;
-    }
 
-    agg_.begin_round(n);
     std::map<int, std::vector<int32_t>> assign;  // node -> [dev, seq, ...].
     {
         std::lock_guard<std::mutex> lk(round_mu_);
-        round_active_ = true;
+        // Pin the round's pull base. Later rounds pull later epochs, so
+        // everything older can go.
+        base_ = StoreSnapshot{plan.pull_epoch, snapshots_.at(plan.pull_epoch)};
+        snapshots_.erase(snapshots_.begin(),
+                         snapshots_.lower_bound(plan.pull_epoch));
         current_round_ = round;
-        expected_ = n;
-        arrived_ = 0;
-        lost_ = 0;
+        retired_.reset();
         outstanding_.clear();
-        pull_cache_.clear();
-        for (int i = 0; i < n; ++i) {
+        for (int i = 0; i < n && !ids.empty(); ++i) {
             const int w = ids[static_cast<size_t>(i) % ids.size()];
             outstanding_[w].push_back(static_cast<uint64_t>(i));
             auto &list = assign[w];
             list.push_back(jobs[static_cast<size_t>(i)].device_id);
             list.push_back(i);
         }
+    }
+    if (ids.empty()) {
+        std::fprintf(stderr,
+                     "[net] round %llu: no alive workers; evicting all %d "
+                     "jobs\n",
+                     static_cast<unsigned long long>(round), n);
+        dead_evictions_ += static_cast<uint64_t>(n);
+        for (int i = 0; i < n; ++i)
+            agg_.drop(round, static_cast<uint64_t>(i));
     }
     for (auto &[w, list] : assign) {
         Message m;
@@ -377,35 +352,27 @@ ClusterServer::run_round(const std::vector<ClusterJob> &jobs, uint64_t round)
             evict_node(w, "send failed", 0);
     }
 
-    {
-        std::unique_lock<std::mutex> lk(round_mu_);
-        const auto complete = [&] { return arrived_ + lost_ >= expected_; };
-        if (cfg_.net.round_timeout_ms > 0) {
-            if (!round_cv_.wait_for(
-                    lk,
-                    std::chrono::milliseconds(cfg_.net.round_timeout_ms),
-                    complete)) {
-                // Deadline backstop: whoever still owes jobs is a
-                // straggler beyond tolerance — declare dead, evict.
-                std::vector<int> late;
-                for (const auto &[w, seqs] : outstanding_)
-                    if (!seqs.empty())
-                        late.push_back(w);
-                lk.unlock();
-                for (int w : late)
-                    if (po_.mark_dead(w))
-                        evict_node(w, "round deadline", 0);
-                lk.lock();
-                round_cv_.wait(lk, complete);
-            }
-        } else {
-            round_cv_.wait(lk, complete);
-        }
-        round_active_ = false;
-        stats = agg_.flush();
-        stats.evicted += lost_;
+    std::unique_lock<std::mutex> lk(round_mu_);
+    const auto retired = [&] { return retired_.has_value(); };
+    if (cfg_.net.round_timeout_ms > 0 &&
+        !round_cv_.wait_for(lk,
+                            std::chrono::milliseconds(
+                                cfg_.net.round_timeout_ms),
+                            retired)) {
+        // Deadline backstop: whoever still owes jobs is a straggler
+        // beyond tolerance — declare dead, evict.
+        std::vector<int> late;
+        for (const auto &[w, seqs] : outstanding_)
+            if (!seqs.empty())
+                late.push_back(w);
+        lk.unlock();
+        for (int w : late)
+            if (po_.mark_dead(w))
+                evict_node(w, "round deadline", 0);
+        lk.lock();
     }
-    return stats;
+    round_cv_.wait(lk, retired);
+    return *retired_;
 }
 
 bool

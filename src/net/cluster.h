@@ -6,23 +6,26 @@
  * and speaks the wire.h protocol to worker nodes over any Transport —
  * loopback Vans, Unix sockets or TCP.
  *
- * Round protocol. run_round assigns jobs round-robin over the alive
- * workers (RoundAssign carries (device, seq) pairs; seq is the
- * submission order, which the aggregator sorts by — composition is
- * structural, so results are independent of worker placement and
- * timing). Each worker pulls the weights per job (PullResp carries the
- * aggregator clock the staleness bound is measured against), trains,
- * and pushes its update; the server feeds pushes straight into the
- * aggregator and the round completes when every job has either arrived
- * or been evicted.
+ * Round protocol. run_round registers the round with the aggregator —
+ * the same structural commit discipline as the in-process runtime, so
+ * batch b is seqs [bT, (b+1)T), staleness is the batch index and the
+ * pull epoch comes from the plan — and pins that epoch's snapshot as the
+ * round's pull base. It then assigns jobs round-robin over the alive
+ * workers (RoundAssign carries (device, seq) pairs). Every PullReq of
+ * the round, ranged or full, answers from the pinned base and every
+ * PushDelta is rebuilt against it, so results are a function of the
+ * seed alone: independent of worker count, placement and timing, and
+ * equal to the in-process runtime's. The round completes when the
+ * aggregator retires it.
  *
  * Failure semantics. The Monitor declares a silent worker dead
  * (heartbeat timeout), a closed transport declares one dead
  * immediately, and the optional round deadline declares heartbeating
  * stragglers dead — in every case the node's in-flight jobs are
- * evicted through the same accounting as a staleness eviction
- * (PsRoundStats::evicted) and the round completes without them. A dead
- * client costs one round's contribution, never a hang.
+ * reported to the aggregator as dropped, which closes their batches and
+ * counts them as evicted (PsRoundStats::evicted); the round completes
+ * without them. A dead client costs one round's contribution, never a
+ * hang.
  */
 #ifndef AUTOFL_NET_CLUSTER_H
 #define AUTOFL_NET_CLUSTER_H
@@ -33,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -89,9 +93,9 @@ class ClusterServer
 
     /**
      * Run one round of @p jobs across the alive workers. Blocks until
-     * every job has arrived or been evicted; returns the aggregator's
-     * stats with dead-worker losses folded into `evicted`. With no
-     * alive workers the round completes immediately, fully evicted.
+     * the aggregator retires it — every job arrived or dropped — and
+     * returns its stats, dead-worker losses counted as `evicted`. With
+     * no alive workers the round completes immediately, fully evicted.
      */
     PsRoundStats run_round(const std::vector<ClusterJob> &jobs,
                            uint64_t round);
@@ -143,24 +147,20 @@ class ClusterServer
     bool shut_ = false;
     std::atomic<uint64_t> dead_evictions_{0};
 
-    // Round state.
+    // Round state, guarded by round_mu_. No aggregator call is made
+    // with round_mu_ held: the aggregator's hooks take it.
     mutable std::mutex round_mu_;
     std::condition_variable round_cv_;
-    bool round_active_ = false;
     uint64_t current_round_ = 0;
-    int expected_ = 0;
-    int arrived_ = 0;
-    int lost_ = 0;
-    std::map<int, std::vector<uint64_t>> outstanding_;  ///< node -> seqs.
+    std::optional<PsRoundStats> retired_;  ///< Set when the round retires.
+    /** node -> seqs it still owes; empty once the round retires. */
+    std::map<int, std::vector<uint64_t>> outstanding_;
 
-    /**
-     * Compressed mode only: the exact full-pull payload served per
-     * (node, seq), kept so a PushDelta can be reconstructed as
-     * pulled + decoded delta — the store advances between pull and
-     * push, so re-reading it would decode against the wrong base.
-     * Entries die with their push, their node, or their round.
-     */
-    std::map<std::pair<int, uint64_t>, std::vector<float>> pull_cache_;
+    /** Published epochs a later round may still pin as its base. */
+    std::map<uint64_t, std::shared_ptr<const std::vector<float>>> snapshots_;
+
+    /** The current round's pull base (epoch 0 before any round). */
+    StoreSnapshot base_;
 
     // Barrier state.
     std::condition_variable barrier_cv_;
@@ -170,9 +170,16 @@ class ClusterServer
     bool send_to(int id, Message m);
 
     /**
-     * Evict @p id's in-flight jobs and wake the round waiter. The
-     * caller owns the Alive -> Dead transition (Postoffice::mark_dead),
-     * so this runs at most once per node.
+     * Accept a push for (m.round, m.seq) from @p node: true once per
+     * outstanding job of the active round, with the round's pull base
+     * copied into @p base. Late pushes of evicted or past rounds fail.
+     */
+    bool claim(int node, const Message &m, StoreSnapshot *base);
+
+    /**
+     * Drop @p id's in-flight jobs from the round. The caller owns the
+     * Alive -> Dead transition (Postoffice::mark_dead), so this runs at
+     * most once per node.
      */
     void evict_node(int id, const char *why, int silent_ms);
 };

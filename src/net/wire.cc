@@ -11,6 +11,17 @@ namespace {
 // bit images (every supported target is little-endian IEEE-754), which
 // is what keeps weights bit-exact across the wire.
 
+/**
+ * memcpy for a section that may be empty: an empty vector's data() may
+ * be null, and memcpy from or to null is undefined even for 0 bytes.
+ */
+void
+copy_bytes(void *dst, const void *src, size_t n)
+{
+    if (n > 0)
+        std::memcpy(dst, src, n);
+}
+
 void
 put_u16(std::vector<uint8_t> &b, uint16_t v)
 {
@@ -153,15 +164,15 @@ frame_message(const Message &m)
     const size_t meta_end = b.size();
     b.resize(kWireHeaderBytes + payload);
     uint8_t *p = b.data() + meta_end;
-    std::memcpy(p, m.ints.data(), 4 * m.ints.size());
+    copy_bytes(p, m.ints.data(), 4 * m.ints.size());
     p += 4 * m.ints.size();
-    std::memcpy(p, m.floats.data(), 4 * m.floats.size());
+    copy_bytes(p, m.floats.data(), 4 * m.floats.size());
     p += 4 * m.floats.size();
-    std::memcpy(p, m.doubles.data(), 8 * m.doubles.size());
+    copy_bytes(p, m.doubles.data(), 8 * m.doubles.size());
     p += 8 * m.doubles.size();
-    std::memcpy(p, m.text.data(), m.text.size());
+    copy_bytes(p, m.text.data(), m.text.size());
     p += m.text.size();
-    std::memcpy(p, m.bytes.data(), m.bytes.size());
+    copy_bytes(p, m.bytes.data(), m.bytes.size());
     return b;
 }
 
@@ -218,18 +229,18 @@ parse_frame(const uint8_t *data, size_t len, Message *out, size_t *consumed)
 
     p += kMetaBytes;
     m.ints.resize(n_ints);
-    std::memcpy(m.ints.data(), p, 4 * n_ints);
+    copy_bytes(m.ints.data(), p, 4 * n_ints);
     p += 4 * n_ints;
     m.floats.resize(n_floats);
-    std::memcpy(m.floats.data(), p, 4 * n_floats);
+    copy_bytes(m.floats.data(), p, 4 * n_floats);
     p += 4 * n_floats;
     m.doubles.resize(n_doubles);
-    std::memcpy(m.doubles.data(), p, 8 * n_doubles);
+    copy_bytes(m.doubles.data(), p, 8 * n_doubles);
     p += 8 * n_doubles;
     m.text.assign(reinterpret_cast<const char *>(p), n_text);
     p += n_text;
     m.bytes.resize(n_bytes);
-    std::memcpy(m.bytes.data(), p, n_bytes);
+    copy_bytes(m.bytes.data(), p, n_bytes);
 
     *out = std::move(m);
     *consumed = kWireHeaderBytes + payload;

@@ -30,87 +30,8 @@ AsyncAggregator::threshold_for(int expected_updates) const
         std::max(1, (expected_updates + s) / (s + 1)));
 }
 
-// ----------------------------------------------------------- classic --
-
 void
-AsyncAggregator::begin_round(int expected_updates)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    assert(buffer_.empty());
-    stats_ = PsRoundStats{};
-    staleness_sum_ = 0.0;
-    threshold_ = threshold_for(expected_updates);
-}
-
-void
-AsyncAggregator::push(PsPush p)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.pushed;
-    buffer_.push_back(std::move(p));
-    if (buffer_.size() >= threshold_)
-        commit_locked();
-}
-
-PsRoundStats
-AsyncAggregator::flush()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    commit_locked();
-    if (stats_.applied > 0)
-        stats_.mean_staleness = staleness_sum_ / stats_.applied;
-    return stats_;
-}
-
-void
-AsyncAggregator::commit_locked()
-{
-    if (buffer_.empty())
-        return;
-
-    // Deterministic composition: commit in submission order regardless
-    // of which worker thread finished first.
-    std::sort(buffer_.begin(), buffer_.end(),
-              [](const PsPush &a, const PsPush &b) { return a.seq < b.seq; });
-
-    std::vector<LocalUpdate> applied;
-    std::vector<double> factors;
-    applied.reserve(buffer_.size());
-    factors.reserve(buffer_.size());
-    for (auto &p : buffer_) {
-        // pull_clock was read before the snapshot, so this staleness is
-        // an upper bound on what the job actually saw — the bound is
-        // enforced conservatively.
-        const int s = static_cast<int>(clock_ - p.pull_clock);
-        if (cfg_.mode == SyncMode::SemiAsync && s > cfg_.staleness_bound) {
-            ++stats_.evicted;
-            continue;
-        }
-        factors.push_back(std::pow(1.0 + s, -cfg_.staleness_alpha));
-        staleness_sum_ += s;
-        stats_.max_staleness = std::max(stats_.max_staleness, s);
-        lifetime_max_staleness_ = std::max(lifetime_max_staleness_, s);
-        applied.push_back(std::move(p.update));
-    }
-    buffer_.clear();
-    if (applied.empty())
-        return;  // Everything evicted: no commit, clock unchanged.
-
-    // Classic mode has no snapshot consumers (the pipeline — the only
-    // reader of the epoch history — is never constructed at depth 1),
-    // so commits skip the per-commit snapshot copy entirely.
-    apply_batch_striped(applied, factors, clock_, nullptr);
-
-    stats_.applied += static_cast<int>(applied.size());
-    ++stats_.commits;
-    ++clock_;
-}
-
-// --------------------------------------------------------- pipelined --
-
-void
-AsyncAggregator::set_pipeline_hooks(SnapshotHook on_snapshot,
-                                    RetireHook on_retire)
+AsyncAggregator::set_hooks(SnapshotHook on_snapshot, RetireHook on_retire)
 {
     std::lock_guard<std::mutex> lk(mu_);
     on_snapshot_ = std::move(on_snapshot);
@@ -120,58 +41,75 @@ AsyncAggregator::set_pipeline_hooks(SnapshotHook on_snapshot,
 RoundPlan
 AsyncAggregator::register_round(uint64_t round, int expected_updates)
 {
-    // Empty rounds never reach the aggregator: RoundPipeline retires
-    // them on the spot without consuming commit clocks.
-    assert(expected_updates > 0);
-
     std::lock_guard<std::mutex> lk(mu_);
     RoundPlan plan;
     plan.round = round;
     plan.expected = expected_updates;
-    plan.threshold = threshold_for(expected_updates);
-    plan.num_batches = static_cast<int>(
-        (static_cast<size_t>(expected_updates) + plan.threshold - 1) /
-        plan.threshold);
-    plan.base_clock = next_base_clock_;
-    next_base_clock_ += static_cast<uint64_t>(plan.num_batches);
-
-    RoundCtx ctx;
-    ctx.plan = plan;
-    ctx.buckets.resize(static_cast<size_t>(plan.num_batches));
-    rounds_.emplace(round, std::move(ctx));
+    plan.base_clock = last_plan_.base_clock +
+        static_cast<uint64_t>(last_plan_.num_batches);
+    plan.pull_epoch = last_plan_.next_pull_epoch();
+    if (plan.expected > 0) {
+        plan.threshold = threshold_for(plan.expected);
+        plan.num_batches = static_cast<int>(
+            (static_cast<size_t>(plan.expected) + plan.threshold - 1) /
+            plan.threshold);
+        RoundCtx ctx;
+        ctx.plan = plan;
+        ctx.buckets.resize(static_cast<size_t>(plan.num_batches));
+        rounds_.emplace(round, std::move(ctx));
+    }
+    last_plan_ = plan;
     return plan;
 }
 
 void
-AsyncAggregator::push_pipelined(uint64_t round, PsPush p)
+AsyncAggregator::push(uint64_t round, PsPush p)
 {
     std::unique_lock<std::mutex> lk(mu_);
+    settle_locked(lk, round, p.seq, &p);
+}
+
+void
+AsyncAggregator::drop(uint64_t round, uint64_t seq)
+{
+    std::unique_lock<std::mutex> lk(mu_);
+    settle_locked(lk, round, seq, nullptr);
+}
+
+void
+AsyncAggregator::settle_locked(std::unique_lock<std::mutex> &lk,
+                               uint64_t round, uint64_t seq, PsPush *p)
+{
     auto it = rounds_.find(round);
     assert(it != rounds_.end());
     RoundCtx &ctx = it->second;
-    ++ctx.stats.pushed;
 
-    const int bidx = static_cast<int>(p.seq / ctx.plan.threshold);
+    const int bidx = static_cast<int>(seq / ctx.plan.threshold);
     assert(bidx >= 0 && bidx < ctx.plan.num_batches);
-    auto &bucket = ctx.buckets[static_cast<size_t>(bidx)];
-    bucket.push_back(std::move(p));
+    Bucket &bucket = ctx.buckets[static_cast<size_t>(bidx)];
+    if (p) {
+        ++ctx.stats.pushed;
+        bucket.pushes.push_back(std::move(*p));
+    } else {
+        ++ctx.stats.evicted;
+        ++bucket.dropped;
+    }
 
     // Sequence-contiguous batches: batch b is seqs [bT, (b+1)T) and
-    // closes when its last member arrives — composition is structural,
-    // never a race.
+    // closes when its last member arrives or is lost — composition is
+    // structural, never a race.
     const size_t begin = static_cast<size_t>(bidx) * ctx.plan.threshold;
-    const size_t end =
-        std::min(static_cast<size_t>(ctx.plan.expected),
-                 begin + ctx.plan.threshold);
-    if (bucket.size() == end - begin)
-        form_commit_locked(ctx, bidx);
+    const size_t end = std::min(static_cast<size_t>(ctx.plan.expected),
+                                begin + ctx.plan.threshold);
+    if (bucket.pushes.size() + bucket.dropped == end - begin)
+        close_batch_locked(ctx, bidx);
     pump(lk);
 }
 
 void
-AsyncAggregator::form_commit_locked(RoundCtx &ctx, int batch_index)
+AsyncAggregator::close_batch_locked(RoundCtx &ctx, int batch_index)
 {
-    auto &bucket = ctx.buckets[static_cast<size_t>(batch_index)];
+    auto &bucket = ctx.buckets[static_cast<size_t>(batch_index)].pushes;
     std::sort(bucket.begin(), bucket.end(),
               [](const PsPush &a, const PsPush &b) { return a.seq < b.seq; });
 
@@ -184,16 +122,17 @@ AsyncAggregator::form_commit_locked(RoundCtx &ctx, int batch_index)
     pc.publish = batch_index == 0 ||
         batch_index == ctx.plan.num_batches - 1;
 
-    // Round-local staleness: every job of the round pulled the round's
-    // launch snapshot, so batch b commits b own-round commits after its
-    // pull. With T = ceil(K / (S+1)) this never exceeds the bound — the
-    // guard below only fires if a round was registered with a batch
-    // count beyond S+1. An evicted batch still consumes its commit slot
-    // (an empty commit) so the structural clock arithmetic holds.
+    // Round-local staleness: every job of the round pulled the same
+    // snapshot, so batch b commits b own-round commits after its pull.
+    // With T = ceil(K / (S+1)) this never exceeds the bound — the guard
+    // below only fires if a round was registered with a batch count
+    // beyond S+1. An evicted (or fully lost) batch still consumes its
+    // commit slot (an empty commit) so the structural clock arithmetic
+    // holds.
     const int s = batch_index;
     if (cfg_.mode == SyncMode::SemiAsync && s > cfg_.staleness_bound) {
         ctx.stats.evicted += static_cast<int>(bucket.size());
-    } else {
+    } else if (!bucket.empty()) {
         pc.updates.reserve(bucket.size());
         pc.factors.reserve(bucket.size());
         for (auto &p : bucket) {
@@ -276,8 +215,6 @@ AsyncAggregator::apply_commit(PendingCommit &pc)
     if (on_snapshot_)
         on_snapshot_(StoreSnapshot{epoch, std::move(snap)});
 }
-
-// ------------------------------------------------------------ shared --
 
 void
 AsyncAggregator::apply_batch_striped(const std::vector<LocalUpdate> &updates,

@@ -9,8 +9,8 @@
  * every earlier commit, so two consecutive commits wave through the
  * stripes in parallel (commit c+1 writes shard 0 while commit c is
  * still writing shard 1) yet every shard sees commits in exactly clock
- * order. Each completed wave publishes an immutable StoreSnapshot for
- * epoch-gated pulls and concurrent evaluation.
+ * order. A round's first and last commits publish an immutable
+ * StoreSnapshot for epoch-gated pulls and concurrent evaluation.
  *
  * Commit rule (FedAvg family): with staleness factors f_j = (1+s_j)^-a
  * and masses e_j = f_j * n_j,
@@ -23,21 +23,14 @@
  * fedavg_combine arithmetic the synchronous Server runs — which is why
  * SemiAsync(S=0) reproduces synchronous FedAvg bit-for-bit.
  *
- * Two batching disciplines share the commit engine:
- *
- * - **Classic** (begin_round/push/flush; Sync, or pipeline_depth ==
- *   1): one round at a time, arrival-order batches of ceil(K / (S+1))
- *   pushes (1 in Async mode, the whole round in Sync mode, which is
- *   S=0 by definition), staleness measured against the aggregator clock
- *   at pull time, updates staler than the bound S evicted — exactly the
- *   PR-1 semantics.
- * - **Pipelined** (register_round/push_pipelined): several rounds in
- *   flight. Batches are *sequence-contiguous* (batch b of round r is
- *   seqs [bT, (b+1)T)), commits retire in (round, batch) order, and a
- *   round's staleness is its batch index — all structural, which is
- *   what makes pipelined execution deterministic: two runs with the
- *   same seed commit identical batches in identical order regardless of
- *   thread interleaving.
+ * Commits are structural. A round is registered before its jobs run,
+ * which fixes its layout (RoundPlan): batch b is seqs [bT, (b+1)T) with
+ * T = ceil(K / (S+1)) (1 in Async mode, the whole round in Sync mode,
+ * which is S=0 by definition), commits retire in (round, batch) order,
+ * and an update's staleness is its batch index. The plan also fixes the
+ * epoch every job of the round pulls (RoundPlan::pull_epoch). A round's
+ * result is therefore a pure function of the seed and the selection:
+ * thread count, pipeline depth and transport never show in the weights.
  */
 #ifndef AUTOFL_PS_ASYNC_AGGREGATOR_H
 #define AUTOFL_PS_ASYNC_AGGREGATOR_H
@@ -55,22 +48,33 @@
 
 namespace autofl {
 
-/** One client push: the update plus its provenance. */
+/** One client push: the update plus its submission order. */
 struct PsPush
 {
     LocalUpdate update;
-    uint64_t seq = 0;         ///< Submission order within the round.
-    uint64_t pull_clock = 0;  ///< Aggregator clock when weights were pulled.
+    uint64_t seq = 0;  ///< Submission order within the round.
 };
 
-/** Structural layout of one pipelined round, fixed at registration. */
+/** Structural layout of one round, fixed at registration. */
 struct RoundPlan
 {
     uint64_t round = 0;
-    int expected = 0;         ///< Pushes the round will deliver.
+    int expected = 0;         ///< Jobs the round will deliver or drop.
     size_t threshold = 1;     ///< Batch size T = ceil(K / (S+1)).
     int num_batches = 0;      ///< ceil(expected / T); <= S+1.
     uint64_t base_clock = 0;  ///< Clock of the round's first commit.
+    uint64_t pull_epoch = 0;  ///< Snapshot epoch every job pulls.
+
+    /**
+     * The pull rule: the epoch the round registered after this one
+     * pulls — this round's first commit, or, for an empty round, the
+     * store as it stands. The default plan (no round yet) yields epoch
+     * 0, the initial weights.
+     */
+    uint64_t next_pull_epoch() const
+    {
+        return base_clock + (num_batches > 0 ? 1 : 0);
+    }
 };
 
 /** Staleness-weighted, bounded-staleness update sink. */
@@ -85,23 +89,6 @@ class AsyncAggregator
      */
     AsyncAggregator(ShardedStore &store, Algorithm alg, const PsConfig &cfg);
 
-    // ------------------------------------------------- classic mode --
-
-    /**
-     * Start a round of @p expected_updates pushes: resets round stats
-     * and sets the commit threshold (the clock is *not* reset — it is
-     * the staleness reference across the job's lifetime).
-     */
-    void begin_round(int expected_updates);
-
-    /** Thread-safe push; may trigger a commit when the threshold fills. */
-    void push(PsPush p);
-
-    /** Commit any buffered remainder and return the round's stats. */
-    PsRoundStats flush();
-
-    // ----------------------------------------------- pipelined mode --
-
     /** A commit's wave finished; its snapshot epoch is live. */
     using SnapshotHook = std::function<void(const StoreSnapshot &)>;
 
@@ -110,28 +97,34 @@ class AsyncAggregator
         uint64_t round, const PsRoundStats &stats, uint64_t final_epoch)>;
 
     /**
-     * Install the pipeline callbacks. Both are invoked from whichever
-     * worker thread completed the triggering commit, with no aggregator
-     * lock held.
+     * Install the round callbacks. Both are invoked from whichever
+     * thread completed the triggering commit, with no aggregator lock
+     * held.
      */
-    void set_pipeline_hooks(SnapshotHook on_snapshot, RetireHook on_retire);
+    void set_hooks(SnapshotHook on_snapshot, RetireHook on_retire);
 
     /**
-     * Register a pipelined round. Rounds must be registered in
-     * submission order; the returned plan fixes the round's batch
-     * layout and commit-clock range, from which the pipeline derives
-     * its (structural, deterministic) pull epochs.
+     * Register a round of @p expected_updates jobs. Rounds must be
+     * registered in submission order; the returned plan fixes the
+     * round's batch layout, commit-clock range and pull epoch. An empty
+     * round consumes no clock and never retires through the hooks.
      */
     RoundPlan register_round(uint64_t round, int expected_updates);
 
     /**
-     * Thread-safe pipelined push. Completing a batch parks it until its
-     * commit clock is next to retire, then the depositing thread drives
-     * every consecutively-ready commit through the striped wave.
+     * Thread-safe push. Completing a batch parks it until its commit
+     * clock is next to retire, then the depositing thread drives every
+     * consecutively-ready commit through the striped wave.
      */
-    void push_pipelined(uint64_t round, PsPush p);
+    void push(uint64_t round, PsPush p);
 
-    // ------------------------------------------------------- shared --
+    /**
+     * Report job @p seq of @p round as lost (its worker died, missed
+     * the deadline or was never reached). It counts as evicted and
+     * closes its batch exactly like an arrival, so a lost job costs
+     * its contribution, never a hang.
+     */
+    void drop(uint64_t round, uint64_t seq);
 
     /** Logical commit clock (total commit slots consumed so far). */
     uint64_t clock() const;
@@ -150,11 +143,18 @@ class AsyncAggregator
         std::vector<double> factors;
     };
 
-    /** Bookkeeping for one in-flight pipelined round. */
+    /** Arrivals and losses of one batch. */
+    struct Bucket
+    {
+        std::vector<PsPush> pushes;
+        size_t dropped = 0;
+    };
+
+    /** Bookkeeping for one in-flight round. */
     struct RoundCtx
     {
         RoundPlan plan;
-        std::vector<std::vector<PsPush>> buckets;  ///< Arrivals per batch.
+        std::vector<Bucket> buckets;
         int batches_applied = 0;
         PsRoundStats stats;
         double staleness_sum = 0.0;
@@ -165,28 +165,21 @@ class AsyncAggregator
     PsConfig cfg_;
 
     mutable std::mutex mu_;
-
-    // Classic mode.
-    std::vector<PsPush> buffer_;
-    size_t threshold_ = 1;
-    PsRoundStats stats_;
-    double staleness_sum_ = 0.0;
-
-    // Pipelined mode.
     std::map<uint64_t, RoundCtx> rounds_;
     std::map<uint64_t, PendingCommit> ready_;
-    uint64_t next_base_clock_ = 0;
+    RoundPlan last_plan_;  ///< Most recently registered round's plan.
     uint64_t next_claim_ = 0;
     SnapshotHook on_snapshot_;
     RetireHook on_retire_;
-
-    // Shared.
     uint64_t clock_ = 0;
     int lifetime_max_staleness_ = 0;
 
     size_t threshold_for(int expected_updates) const;
-    void commit_locked();
-    void form_commit_locked(RoundCtx &ctx, int batch_index);
+
+    /** Count one arrival or loss for seq; close its batch if full. */
+    void settle_locked(std::unique_lock<std::mutex> &lk, uint64_t round,
+                       uint64_t seq, PsPush *p);
+    void close_batch_locked(RoundCtx &ctx, int batch_index);
     void pump(std::unique_lock<std::mutex> &lk);
     void apply_commit(PendingCommit &pc);
 

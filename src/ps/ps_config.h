@@ -20,15 +20,17 @@ namespace autofl {
 /**
  * How the server consumes client updates.
  *
- * - Sync: the classic round barrier — every included participant trains
+ * - Sync: the paper's round barrier — every included participant trains
  *   on the same broadcast weights and one aggregation commits them all.
- * - SemiAsync: bounded-staleness pipeline. The aggregator commits a
- *   partial batch as soon as ceil(K / (S+1)) updates are buffered;
- *   updates observed staler than the bound S are evicted (the
- *   parameter-server re-expression of FedAvg's straggler drop). S = 0
+ * - SemiAsync: bounded staleness. Each round commits in at most S+1
+ *   sequence-contiguous batches of ceil(K / (S+1)) updates; batch b's
+ *   updates are b commits stale and damped accordingly. S = 0
  *   degenerates to Sync bit-for-bit under a fixed seed.
- * - Async: every update commits on arrival with no staleness bound,
+ * - Async: every update is its own commit with no staleness bound,
  *   damped by the staleness factor and the async mixing rate.
+ *
+ * In every mode the result is a function of the seed and the selection
+ * alone (see AsyncAggregator).
  */
 enum class SyncMode { Sync, SemiAsync, Async };
 
@@ -44,9 +46,9 @@ struct PsConfig
     int shards = 8;
 
     /**
-     * Staleness bound S (SemiAsync only): an update pulled at clock t is
-     * evicted when committed at clock > t + S. 0 reproduces synchronous
-     * FedAvg exactly.
+     * Staleness bound S (SemiAsync only): a round commits in at most
+     * S+1 batches, so no update is more than S commits stale. 0
+     * reproduces synchronous FedAvg exactly.
      */
     int staleness_bound = 1;
 
@@ -60,23 +62,23 @@ struct PsConfig
     int executor_threads = 0;
 
     /**
-     * Streaming switch. 1 (the default) drains every round at its
-     * barrier — the classic runtime. Above 1, round t+1's jobs are
-     * launched as soon as round t's first commit publishes a store
+     * Streaming switch — a throughput knob only: the weights are the
+     * same at every depth. 1 (the default) drains every round before
+     * the next is submitted. Above 1 (non-Sync modes), round t+1's
+     * jobs launch as soon as round t's first commit publishes a store
      * snapshot, so training structurally overlaps two rounds (the
      * previous round's straggler tail plus the current round) while
-     * commits retire in round order, keeping the result stream
-     * deterministic (see RoundPipeline). Values above 2 do not deepen
-     * training overlap; in the experiment harness they bound how many
-     * rounds the driver may submit ahead of the results it has
-     * observed.
+     * commits retire in round order (see RoundPipeline). Values above
+     * 2 do not deepen training overlap; in the experiment harness they
+     * bound how many rounds the round loop may submit ahead of the
+     * results it has observed.
      */
     int pipeline_depth = 1;
 
     /**
-     * Concurrent evaluation workers scoring retired-round snapshots
-     * (pipelined mode only). Evaluation overlaps later rounds' training;
-     * results are still delivered in round order.
+     * Concurrent evaluation workers scoring retired-round snapshots.
+     * Streaming, evaluation overlaps later rounds' training; results
+     * are still delivered in round order.
      */
     int eval_workers = 2;
 
@@ -101,7 +103,7 @@ struct PsConfig
 
     /**
      * Distributed transport (src/net/). net.listen == "" keeps the
-     * classic in-process runtime; "loopback" routes rounds through
+     * in-process runtime; "loopback" routes rounds through
      * LoopbackVan endpoints, and a socket scheme runs real worker
      * processes. See NetConfig.
      */
@@ -113,9 +115,9 @@ struct PsConfig
      * the cluster as PushDelta wire messages, in-process as an
      * encode/decode round trip before the aggregator — with per-client
      * error feedback. None keeps the bit-for-bit uncompressed runtime.
-     * Compressed modes require the ps runtime (mode != Sync) at
-     * pipeline_depth 1: the residual sequence is deterministic only
-     * when a device trains at most once concurrently.
+     * Compressed modes require pipeline_depth 1: the residual sequence
+     * is deterministic only when a device trains at most once
+     * concurrently.
      */
     CompressionConfig compression;
 
@@ -187,13 +189,13 @@ struct PsRoundStats
 {
     int pushed = 0;    ///< Updates handed to the aggregator.
     int applied = 0;   ///< Updates folded into the global model.
-    int evicted = 0;   ///< Updates dropped for exceeding the bound.
+    int evicted = 0;   ///< Updates over the bound, or jobs lost.
     int commits = 0;   ///< Aggregation commits this round.
     double mean_staleness = 0.0;  ///< Mean staleness of applied updates.
     int max_staleness = 0;        ///< Max staleness of applied updates.
 };
 
-/** One retired round's result, delivered by the streaming pipeline. */
+/** One retired round's result, delivered by the round pipeline. */
 struct PsRoundResult
 {
     uint64_t round = 0;
@@ -202,7 +204,7 @@ struct PsRoundResult
     /**
      * Test accuracy of the store snapshot taken right after the round's
      * last commit, scored by a concurrent eval worker; -1 when no eval
-     * function is configured.
+     * function is configured or the round was not evaluated.
      */
     double accuracy = -1.0;
 
@@ -210,7 +212,7 @@ struct PsRoundResult
     uint64_t final_epoch = 0;
 };
 
-/** Round-ordered completion callback for pipelined round submission. */
+/** Round-ordered completion callback for round submission. */
 using PsRoundCallback = std::function<void(const PsRoundResult &)>;
 
 } // namespace autofl

@@ -1,7 +1,7 @@
 #include "ps_server.h"
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <stdexcept>
 #include <thread>
 
@@ -97,21 +97,13 @@ PsConfig::validate(const char *who) const
             "compressed run would silently diverge; resume "
             "uncompressed or restart the compressed run from scratch");
     }
-    if (compression.enabled()) {
-        if (mode == SyncMode::Sync) {
-            throw std::invalid_argument(
-                w + ".compression: push-delta compression runs on the "
-                "parameter-server push path; use mode SemiAsync with "
-                "staleness_bound 0 for synchronous semantics, or Async");
-        }
-        if (pipeline_depth != 1) {
-            throw std::invalid_argument(
-                w + ".compression requires pipeline_depth == 1 (got " +
-                std::to_string(pipeline_depth) +
-                "): the error-feedback residual sequence is "
-                "deterministic only when a device trains at most once "
-                "concurrently");
-        }
+    if (compression.enabled() && pipeline_depth != 1) {
+        throw std::invalid_argument(
+            w + ".compression requires pipeline_depth == 1 (got " +
+            std::to_string(pipeline_depth) +
+            "): the error-feedback residual sequence is "
+            "deterministic only when a device trains at most once "
+            "concurrently");
     }
     if (net.enabled()) {
         if (mode == SyncMode::Sync) {
@@ -140,175 +132,113 @@ PsServer::PsServer(Server &server, Workload workload,
       store_(server.global_weights(), cfg.shards),
       exec_(cfg.executor_threads > 0 ? cfg.executor_threads :
                                        default_threads),
-      agg_(store_, alg, cfg), ckpt_(ckpt)
+      agg_(store_, alg, cfg),
+      streaming_(cfg.mode != SyncMode::Sync && cfg.pipeline_depth > 1),
+      ckpt_(ckpt), eval_exec_(std::max(1, cfg.eval_workers)),
+      pipeline_(exec_, &eval_exec_, agg_, store_, cfg_,
+                [this](int worker, const PsRoundJob &job, uint64_t seq,
+                       const std::vector<float> &weights, uint64_t round) {
+                    return train_job(worker, job, seq, weights, round);
+                })
 {
     trainers_.reserve(static_cast<size_t>(exec_.threads()));
     for (int t = 0; t < exec_.threads(); ++t)
         trainers_.push_back(std::make_unique<LocalTrainer>(workload));
 
-    // Sync stays drained at any depth: its round is one barrier.
-    if (cfg_.mode != SyncMode::Sync && cfg_.pipeline_depth > 1) {
-        eval_exec_ = std::make_unique<PsExecutor>(
-            std::max(1, cfg_.eval_workers));
-        pipeline_ = std::make_unique<RoundPipeline>(
-            exec_, eval_exec_.get(), agg_, store_, cfg_,
-            [this](int worker, const PsRoundJob &job,
-                   const std::vector<float> &weights, uint64_t round) {
-                if (cfg_.sim_device_latency_s > 0.0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(
-                            cfg_.sim_latency_for(job.device_id)));
-                }
-                Rng rng = client_rng(seed_, job.device_id, round);
-                LocalUpdate u =
-                    trainers_[static_cast<size_t>(worker)]->train(
-                        weights, *job.shard, params_, hyper_, alg_, {},
-                        rng);
-                u.device_id = job.device_id;
-                return u;
+    if (ckpt_) {
+        // The one persistence point: retirement. The hook shares the
+        // pipeline's own history snapshot zero-copy and the writer only
+        // enqueues — a slow disk thins artifacts, it never slows a
+        // commit wave.
+        pipeline_.set_checkpoint_hook(
+            [this](uint64_t round, uint64_t epoch,
+                   std::shared_ptr<const std::vector<float>> w) {
+                if (cfg_.snapshot_due(round))
+                    ckpt_->request(round, epoch, std::move(w));
             });
-        if (ckpt_) {
-            // Persistence rides retirement: the hook shares the
-            // pipeline's own history snapshot zero-copy and the writer
-            // only enqueues — a slow disk thins artifacts, it never
-            // slows a commit wave.
-            pipeline_->set_checkpoint_hook(
-                [this](uint64_t round, uint64_t epoch,
-                       std::shared_ptr<const std::vector<float>> w) {
-                    if (cfg_.snapshot_due(round))
-                        ckpt_->request(round, epoch, std::move(w));
-                });
-        }
     }
 }
 
 PsServer::~PsServer() = default;
 
+LocalUpdate
+PsServer::train_job(int worker, const PsRoundJob &job, uint64_t seq,
+                    const std::vector<float> &weights, uint64_t round)
+{
+    if (cfg_.sim_device_latency_s > 0.0) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            cfg_.sim_latency_for(job.device_id)));
+    }
+    Rng rng = client_rng(seed_, job.device_id, round);
+    const std::vector<float> correction = fedl_grads_.empty()
+        ? std::vector<float>{}
+        : server_.fedl_correction(fedl_grads_[seq]);
+    LocalUpdate u = trainers_[static_cast<size_t>(worker)]->train(
+        weights, *job.shard, params_, hyper_, alg_, correction, rng);
+    u.device_id = job.device_id;
+    // The in-process push "wire": encode the delta against the pulled
+    // weights and hand the aggregator the decoded reconstruction —
+    // exactly what a cluster server commits. None is a pure byte count,
+    // zero float ops (bit parity).
+    push_payload_bytes_.fetch_add(
+        error_feedback_.compress_update(cfg_.compression, job.device_id,
+                                        weights.data(), u.weights),
+        std::memory_order_relaxed);
+    return u;
+}
+
 void
 PsServer::set_eval_fn(RoundPipeline::EvalFn fn)
 {
-    eval_fn_ = fn;
-    if (pipeline_)
-        pipeline_->set_eval_fn(std::move(fn));
+    pipeline_.set_eval_fn(std::move(fn));
 }
 
-PsRoundStats
-PsServer::run_round(const std::vector<PsRoundJob> &jobs, uint64_t round)
+PsRoundResult
+PsServer::run_drained(const std::vector<PsRoundJob> &jobs, uint64_t round,
+                      bool evaluate)
 {
-    if (pipeline_) {
-        // Blocking wrapper over the streaming path: correct anywhere,
-        // overlapping nothing. It returns stats only, so the round is
-        // submitted unevaluated — no discarded test-set inference.
-        std::mutex mu;
-        std::condition_variable cv;
-        bool ready = false;
-        PsRoundStats stats;
-        pipeline_->submit(jobs, round,
-                          [&](const PsRoundResult &res) {
-                              std::lock_guard<std::mutex> lk(mu);
-                              stats = res.stats;
-                              ready = true;
-                              cv.notify_one();
-                          },
-                          /*evaluate=*/false);
-        std::unique_lock<std::mutex> lk(mu);
-        cv.wait(lk, [&] { return ready; });
-        server_.set_global_weights(store_.read());
-        return stats;
-    }
-
     // FEDL phase 1: every participant reports its full local gradient
-    // at the round's global weights (the store is drained, so the
+    // at the round's global weights (the runtime is drained, so the
     // Server holds them); the Server averages them into the estimate
-    // each phase-2 job's correction term uses.
-    std::vector<std::vector<float>> fedl_grads;
+    // each training job's correction term uses.
     if (server_.wants_full_gradients()) {
-        fedl_grads.resize(jobs.size());
+        fedl_grads_.assign(jobs.size(), {});
         for (size_t i = 0; i < jobs.size(); ++i) {
-            exec_.submit([this, &fedl_grads, &jobs, i](int worker) {
-                fedl_grads[i] =
+            exec_.submit([this, &jobs, i](int worker) {
+                fedl_grads_[i] =
                     trainers_[static_cast<size_t>(worker)]->full_gradient(
                         server_.global_weights(), *jobs[i].shard);
             });
         }
         exec_.wait_idle();
-        server_.update_global_gradient(fedl_grads);
+        server_.update_global_gradient(fedl_grads_);
     }
 
-    agg_.begin_round(static_cast<int>(jobs.size()));
-    for (size_t seq = 0; seq < jobs.size(); ++seq) {
-        const PsRoundJob job = jobs[seq];
-        exec_.submit([this, job, seq, round, &fedl_grads](int worker) {
-            // Clock first, snapshot second: a commit landing in between
-            // makes the recorded staleness an upper bound, never an
-            // undercount, so the bound stays honest.
-            const uint64_t pull_clock = agg_.clock();
-            const std::vector<float> weights = store_.read();
-            if (cfg_.sim_device_latency_s > 0.0) {
-                std::this_thread::sleep_for(std::chrono::duration<double>(
-                    cfg_.sim_latency_for(job.device_id)));
-            }
-            Rng rng = client_rng(seed_, job.device_id, round);
-            const std::vector<float> correction = fedl_grads.empty()
-                ? std::vector<float>{}
-                : server_.fedl_correction(fedl_grads[seq]);
-            LocalUpdate u = trainers_[static_cast<size_t>(worker)]->train(
-                weights, *job.shard, params_, hyper_, alg_, correction, rng);
-            u.device_id = job.device_id;
-            // The in-process push "wire": encode the delta against the
-            // pulled weights and hand the aggregator the decoded
-            // reconstruction — exactly what a cluster server commits.
-            // None is a pure byte count, zero float ops (bit parity).
-            push_payload_bytes_.fetch_add(
-                error_feedback_.compress_update(cfg_.compression,
-                                                job.device_id,
-                                                weights.data(), u.weights),
-                std::memory_order_relaxed);
-            agg_.push(PsPush{std::move(u), static_cast<uint64_t>(seq),
-                             pull_clock});
-        });
-    }
-    exec_.wait_idle();
-    PsRoundStats stats = agg_.flush();
-    server_.set_global_weights(store_.read());
-    // Classic-mode persistence point: the barrier. The store is
-    // quiescent here, so the synced server weights ARE the post-round
-    // state; the copy crosses to the writer thread and training moves
-    // on.
-    if (ckpt_ && cfg_.snapshot_due(round)) {
-        ckpt_->request(round, agg_.clock(),
-                       std::make_shared<const std::vector<float>>(
-                           server_.global_weights()));
-    }
-    return stats;
+    // drain() returns only after the callback has run, so the result
+    // can live on this frame.
+    PsRoundResult res;
+    pipeline_.submit(jobs, round,
+                     [&res](const PsRoundResult &r) { res = r; }, evaluate);
+    drain();
+    fedl_grads_.clear();
+    return res;
+}
+
+PsRoundStats
+PsServer::run_round(const std::vector<PsRoundJob> &jobs, uint64_t round)
+{
+    return run_drained(jobs, round, /*evaluate=*/false).stats;
 }
 
 void
 PsServer::submit_round(const std::vector<PsRoundJob> &jobs, uint64_t round,
                        PsRoundCallback cb)
 {
-    if (pipeline_) {
-        pipeline_->submit(jobs, round, std::move(cb));
+    if (streaming_) {
+        pipeline_.submit(jobs, round, std::move(cb));
         return;
     }
-    // Classic mode: run the barriered round inline and score it on the
-    // calling thread, so drivers can use one streaming code path at any
-    // depth.
-    PsRoundResult res;
-    res.round = round;
-    res.stats = run_round(jobs, round);
-    res.final_epoch = agg_.clock();
-    // Empty rounds report accuracy -1, matching the pipelined contract
-    // (no new snapshot to score). The classic runtime never publishes
-    // commit snapshots, so the barrier builds an epoch-tagged one here
-    // (epoch = commit clock) for the shared serving-plane scorer —
-    // from the wrapped Server's weights, which run_round just synced
-    // from the store, sparing a second sharded read.
-    if (eval_fn_ && !jobs.empty()) {
-        res.accuracy = eval_fn_(StoreSnapshot{
-            agg_.clock(), std::make_shared<const std::vector<float>>(
-                              server_.global_weights())});
-    }
+    const PsRoundResult res = run_drained(jobs, round, /*evaluate=*/true);
     if (cb)
         cb(res);
 }
@@ -322,10 +252,7 @@ PsServer::push_payload_bytes() const
 void
 PsServer::drain()
 {
-    if (pipeline_)
-        pipeline_->drain();
-    else
-        exec_.wait_idle();
+    pipeline_.drain();
     server_.set_global_weights(store_.read());
 }
 

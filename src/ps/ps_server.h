@@ -1,12 +1,13 @@
 /**
  * @file
  * PsServer: the parameter-server runtime facade. Owns the sharded model
- * store, the executor pool, the bounded-staleness aggregator and — when
- * the mode is not Sync and PsConfig::pipeline_depth > 1 — the streaming
- * RoundPipeline plus a concurrent snapshot-eval pool. Sync is the
- * drained runtime at S=0. The wrapped Server keeps model init and the
- * FEDL gradient estimate; its global weights are re-synced from the
- * store whenever the runtime drains.
+ * store, the executor pool, the bounded-staleness aggregator, the
+ * RoundPipeline every round runs through and its concurrent
+ * snapshot-eval pool. Rounds stream only when the mode is not Sync and
+ * PsConfig::pipeline_depth > 1; otherwise each submit blocks until its
+ * round is delivered (Sync is that drained runtime at S=0). The wrapped
+ * Server keeps model init and the FEDL gradient estimate; its global
+ * weights are re-synced from the store whenever the runtime drains.
  */
 #ifndef AUTOFL_PS_PS_SERVER_H
 #define AUTOFL_PS_PS_SERVER_H
@@ -56,40 +57,30 @@ class PsServer
 
     ~PsServer();
 
-    /** Whether the streaming pipeline (non-Sync, depth > 1) is active. */
-    bool pipelined() const { return pipeline_ != nullptr; }
+    /** Whether rounds stream (non-Sync, depth > 1). */
+    bool pipelined() const { return streaming_; }
 
     /**
-     * Install the snapshot scorer used by the concurrent eval workers
-     * (pipelined mode; ignored otherwise). Must be thread-safe.
+     * Install the snapshot scorer used by the concurrent eval workers.
+     * Must be thread-safe.
      */
     void set_eval_fn(RoundPipeline::EvalFn fn);
 
     /**
-     * Run one round to completion.
-     *
-     * Classic mode (Sync, or pipeline_depth == 1): submit every job (in
-     * order — submission order is the deterministic aggregation order),
-     * wait for the stream to drain, flush the aggregator and write the
-     * store back into the wrapped Server. Jobs pull the freshest
-     * per-shard-consistent weights when they *start*, so with more jobs
-     * than executor threads later jobs train on mid-round commits — the
-     * semi-async pipeline. Sync commits once, after every pull: the
-     * FedAvg barrier. FEDL first runs a full-gradient phase over the
-     * same jobs to refresh the Server's global-gradient estimate.
-     *
-     * Pipelined mode: submit through the pipeline and block for this
-     * round's result — correct but sequential; callers wanting overlap
-     * use submit_round.
+     * Run one round to completion, unevaluated: submit it through the
+     * pipeline, wait until it (and every round before it) is
+     * delivered, and write the store back into the wrapped Server.
+     * FEDL first runs a full-gradient phase over the same jobs on the
+     * drained store to refresh the Server's global-gradient estimate.
      */
     PsRoundStats run_round(const std::vector<PsRoundJob> &jobs,
                            uint64_t round);
 
     /**
-     * Streaming entry: enqueue the round and return immediately. The
-     * callback fires in round order once the round has retired and its
-     * final snapshot is scored. In classic mode this degrades to a
-     * synchronous run_round + inline evaluation before @p cb returns.
+     * Submit one round; the callback fires in round order once the
+     * round has retired and its final snapshot is scored. Streaming,
+     * this returns immediately; otherwise it blocks like run_round and
+     * the callback fires before it returns.
      */
     void submit_round(const std::vector<PsRoundJob> &jobs, uint64_t round,
                       PsRoundCallback cb);
@@ -105,9 +96,9 @@ class PsServer
     PsExecutor &executor() { return exec_; }
 
     /**
-     * Push-path wire bytes this runtime would have moved (classic mode,
-     * in-process): the sum of each update's encoded payload size under
-     * cfg.compression — raw f32 bytes for None.
+     * Push-path wire bytes this runtime would have moved: the sum of
+     * each update's encoded payload size under cfg.compression — raw
+     * f32 bytes for None.
      */
     uint64_t push_payload_bytes() const;
 
@@ -125,17 +116,32 @@ class PsServer
     PsExecutor exec_;
     AsyncAggregator agg_;
     std::vector<std::unique_ptr<LocalTrainer>> trainers_;  ///< Per worker.
-    RoundPipeline::EvalFn eval_fn_;  ///< Classic-mode inline scoring.
     ErrorFeedback error_feedback_;   ///< Push-compression residuals.
     std::atomic<uint64_t> push_payload_bytes_{0};
+    bool streaming_;
+
+    /** FEDL: the current round's full gradients, indexed by seq. */
+    std::vector<std::vector<float>> fedl_grads_;
 
     store::CheckpointWriter *ckpt_;  ///< Not owned; null when off.
 
-    // Pipelined mode only. Declared after the components they use so
-    // the pipeline drains (and the eval pool joins) before any of them
-    // is torn down.
-    std::unique_ptr<PsExecutor> eval_exec_;
-    std::unique_ptr<RoundPipeline> pipeline_;
+    // Declared after the components they use so the pipeline drains
+    // (and the eval pool joins) before any of them is torn down.
+    PsExecutor eval_exec_;
+    RoundPipeline pipeline_;
+
+    /**
+     * The one job body, drained or streaming: pull -> local SGD (with
+     * FEDL's correction when the round has gradients) -> push
+     * compression.
+     */
+    LocalUpdate train_job(int worker, const PsRoundJob &job, uint64_t seq,
+                          const std::vector<float> &weights,
+                          uint64_t round);
+
+    /** Submit through the pipeline and wait until it is delivered. */
+    PsRoundResult run_drained(const std::vector<PsRoundJob> &jobs,
+                              uint64_t round, bool evaluate);
 };
 
 } // namespace autofl

@@ -18,7 +18,7 @@ RoundPipeline::RoundPipeline(PsExecutor &exec, PsExecutor *eval_exec,
     const StoreSnapshot init = store.latest_snapshot();
     history_[init.epoch] = init.weights;
 
-    agg_.set_pipeline_hooks(
+    agg_.set_hooks(
         [this](const StoreSnapshot &s) { on_snapshot(s); },
         [this](uint64_t round, const PsRoundStats &stats,
                uint64_t final_epoch) {
@@ -45,39 +45,15 @@ RoundPipeline::set_checkpoint_hook(CheckpointFn fn)
     checkpoint_fn_ = std::move(fn);
 }
 
-uint64_t
-RoundPipeline::pull_epoch_for_locked() const
-{
-    // Launch trigger: the previous round's first commit. The epoch is
-    // structural, so the pulled weights are a pure function of the
-    // round layout, never of thread timing. In-order retirement means
-    // this snapshot already contains every commit of rounds before the
-    // previous one — training overlap spans exactly two rounds. This
-    // is also the history-pruning floor: no future round can pull
-    // below the *next* submission's epoch.
-    if (submitted_ == 0)
-        return 0;
-    return last_plan_.base_clock + (last_plan_.num_batches > 0 ? 1 : 0);
-}
-
 void
 RoundPipeline::submit(std::vector<PsRoundJob> jobs, uint64_t round,
                       PsRoundCallback cb, bool evaluate)
 {
-    const int expected = static_cast<int>(jobs.size());
-
-    RoundPlan plan;
-    if (expected > 0) {
-        plan = agg_.register_round(round, expected);
-    } else {
-        // Empty rounds never touch the aggregator: they retire on the
-        // spot (accuracy -1: there is no new snapshot to score) and
-        // leave the commit-clock chain untouched.
-        std::lock_guard<std::mutex> lk(pmu_);
-        plan.round = round;
-        plan.base_clock = last_plan_.base_clock +
-            static_cast<uint64_t>(last_plan_.num_batches);
-    }
+    // The plan carries the round's structural pull epoch. Empty rounds
+    // retire on the spot (accuracy -1: there is no new snapshot to
+    // score) and consume no commit clock.
+    const RoundPlan plan =
+        agg_.register_round(round, static_cast<int>(jobs.size()));
 
     std::unique_lock<std::mutex> lk(pmu_);
     auto e = std::make_shared<Entry>();
@@ -85,15 +61,11 @@ RoundPipeline::submit(std::vector<PsRoundJob> jobs, uint64_t round,
     e->jobs = std::move(jobs);
     e->cb = std::move(cb);
     e->plan = plan;
-    e->pull_epoch = pull_epoch_for_locked();
     e->want_eval = evaluate;
     e->final_epoch = plan.base_clock;
-    if (expected == 0)
-        e->done = true;
+    e->done = plan.expected == 0;
     order_.push_back(e);
-
     last_plan_ = plan;
-    ++submitted_;
 
     try_launch_locked();
     prune_history_locked();
@@ -110,7 +82,7 @@ RoundPipeline::try_launch_locked()
     for (auto &e : order_) {
         if (e->launched || e->plan.expected == 0)
             continue;
-        auto it = history_.find(e->pull_epoch);
+        auto it = history_.find(e->plan.pull_epoch);
         if (it == history_.end())
             return;
         e->launched = true;
@@ -122,17 +94,13 @@ void
 RoundPipeline::launch_locked(Entry &e)
 {
     std::shared_ptr<const std::vector<float>> weights =
-        history_.at(e.pull_epoch);
+        history_.at(e.plan.pull_epoch);
     const uint64_t round = e.round;
-    const uint64_t pull_epoch = e.pull_epoch;
-    for (size_t seq = 0; seq < e.jobs.size(); ++seq) {
+    for (uint64_t seq = 0; seq < e.jobs.size(); ++seq) {
         const PsRoundJob job = e.jobs[seq];
-        exec_.submit([this, job, seq, round, pull_epoch, weights](
-                         int worker) {
-            LocalUpdate u = train_(worker, job, *weights, round);
-            agg_.push_pipelined(
-                round, PsPush{std::move(u), static_cast<uint64_t>(seq),
-                              pull_epoch});
+        exec_.submit([this, job, seq, round, weights](int worker) {
+            agg_.push(round,
+                      PsPush{train_(worker, job, seq, *weights, round), seq});
         });
     }
 }
@@ -236,16 +204,16 @@ void
 RoundPipeline::prune_history_locked()
 {
     // Future rounds always pull at or above the next submission's
-    // epoch; launched rounds hold their pull snapshot via shared_ptr,
+    // epoch (the aggregator's pull rule applied to the last plan); launched rounds hold their pull snapshot via shared_ptr,
     // but an unretired round still needs its *final* epoch in the
     // history for retirement-time evaluation. Everything below the
     // floor is garbage.
-    uint64_t floor = pull_epoch_for_locked();
+    uint64_t floor = last_plan_.next_pull_epoch();
     for (const auto &e : order_) {
         if (e->plan.expected == 0)
             continue;
         if (!e->launched)
-            floor = std::min(floor, e->pull_epoch);
+            floor = std::min(floor, e->plan.pull_epoch);
         if (!e->retired) {
             floor = std::min(
                 floor, e->plan.base_clock +

@@ -1,38 +1,36 @@
 /**
  * @file
- * RoundPipeline: the streaming round scheduler — out-of-order execution,
- * in-order commit.
+ * RoundPipeline: the one round scheduler of the in-process runtime —
+ * out-of-order execution, in-order commit.
  *
- * The classic runtime drains the executor at every round barrier, so a
- * single straggler idles every worker. The pipeline instead keeps up to
- * PsConfig::pipeline_depth rounds in flight: round r+1's jobs are
- * submitted to the executor as soon as round r's first commit publishes
- * a store snapshot, so workers fill the straggler's shadow with the
- * next round's training while the aggregator retires commits in strict
- * round order.
+ * Every round, drained or streamed, runs through it. Rounds are
+ * registered with the aggregator at submission, which fixes their
+ * layout and pull epoch; jobs launch onto the executor once that epoch
+ * publishes. Drained (PsServer at pipeline_depth 1, or Sync) each
+ * submit waits for its round before the next is submitted. Streamed
+ * (non-Sync, pipeline_depth > 1) submission runs ahead, so round r+1's
+ * jobs start as soon as round r's first commit publishes a store
+ * snapshot and workers fill a straggler's shadow with the next round's
+ * training.
  *
  * Determinism contract. Every scheduling decision is *structural* — a
  * function of the round layout, never of thread timing:
  *
- * - Every job of round r pulls the same published snapshot, taken at
- *   the round's launch epoch E_r = base_{r-1} + 1 (the previous
- *   round's first commit). Pulls wait for that exact epoch.
+ * - Every job of round r pulls the same published snapshot, at the
+ *   epoch the aggregator's plan names (RoundPlan::pull_epoch: round
+ *   r-1's first commit). Pulls wait for that exact epoch.
  * - Batches are sequence-contiguous and commits retire in (round,
  *   batch) order (see AsyncAggregator), so the store content at every
  *   epoch is a pure function of the seed.
  * - Results are delivered through a reorder buffer in round order.
  *
- * A corollary of the first-commit trigger: when round r launches,
- * every round before r-1 has fully committed, so training overlap
- * structurally spans two rounds — the previous round's straggler tail
- * and the current round. PsConfig::pipeline_depth > 1 is what turns
- * streaming on; beyond that it bounds how far results (and the
- * driver's observations) may lag behind submissions, not how many
- * rounds train at once.
- *
- * Hence pipeline_depth=1 with SemiAsync(S=0) is bit-for-bit the
- * synchronous path, and two pipelined runs at any depth with the same
- * seed produce identical weights — the property tests enforce both.
+ * Hence draining or streaming, at any depth and thread count, gives
+ * the same weights for the same seed, and SemiAsync(S=0) is bit for bit
+ * the synchronous barrier. A corollary of the first-commit pull: when
+ * round r launches, every round before r-1 has fully committed, so
+ * training overlap structurally spans two rounds. pipeline_depth is a
+ * throughput knob only: beyond turning streaming on, it bounds how far
+ * results may lag behind submissions.
  *
  * Evaluation rides the same snapshots: when a round retires, its final
  * snapshot is handed to a concurrent eval pool; accuracy lands in the
@@ -62,9 +60,9 @@ struct PsRoundJob;
 class RoundPipeline
 {
   public:
-    /** Runs one client job against the given pulled weights. */
+    /** Runs job @p seq of @p round against the pulled weights. */
     using TrainFn = std::function<LocalUpdate(
-        int worker, const PsRoundJob &job,
+        int worker, const PsRoundJob &job, uint64_t seq,
         const std::vector<float> &weights, uint64_t round)>;
 
     /**
@@ -133,7 +131,6 @@ class RoundPipeline
         std::vector<PsRoundJob> jobs;
         PsRoundCallback cb;
         RoundPlan plan;
-        uint64_t pull_epoch = 0;
         bool want_eval = true;
         bool launched = false;
         bool retired = false;
@@ -156,7 +153,6 @@ class RoundPipeline
     std::deque<std::shared_ptr<Entry>> order_;  ///< Undelivered, in order.
     std::map<uint64_t, std::shared_ptr<const std::vector<float>>> history_;
     RoundPlan last_plan_;   ///< Most recently submitted round's plan.
-    size_t submitted_ = 0;
     bool delivering_ = false;
 
     void on_snapshot(const StoreSnapshot &snap);
@@ -167,13 +163,6 @@ class RoundPipeline
     void finalize(uint64_t round, double accuracy);
     void deliver_ready(std::unique_lock<std::mutex> &lk);
     void prune_history_locked();
-
-    /**
-     * The structural launch epoch of the *next* submission: the last
-     * submitted round's first commit (0 before any submission). Also
-     * the history-pruning floor.
-     */
-    uint64_t pull_epoch_for_locked() const;
 };
 
 } // namespace autofl

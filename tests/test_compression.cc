@@ -364,19 +364,6 @@ TEST(Compression, ValidationRejectsBadKnobs)
     EXPECT_NO_THROW(cfg.validate("test"));
 }
 
-TEST(Compression, PsConfigRejectsCompressedSyncAndPipelining)
-{
-    PsConfig cfg;
-    cfg.compression.mode = Compression::Int8;
-    cfg.mode = SyncMode::Sync;
-    EXPECT_THROW(cfg.validate("test"), std::invalid_argument);
-    cfg.mode = SyncMode::SemiAsync;
-    cfg.staleness_bound = 0;
-    EXPECT_NO_THROW(cfg.validate("test"));
-    cfg.pipeline_depth = 2;
-    EXPECT_THROW(cfg.validate("test"), std::invalid_argument);
-}
-
 // ------------------------------------------------ malformed encodings --
 
 TEST(Compression, DecodeRejectsMalformedEncodingsWithTypedStatus)
@@ -469,6 +456,38 @@ compressed_system(const std::string &listen, int workers, Compression mode)
 }
 
 const std::vector<int> kRoundIds = {0, 3, 5, 7, 9, 11};
+
+TEST(Compression, PsConfigAcceptsCompressedSyncRejectsPipelining)
+{
+    PsConfig cfg;
+    cfg.compression.mode = Compression::Int8;
+    cfg.mode = SyncMode::Sync;
+    EXPECT_NO_THROW(cfg.validate("test"));
+    cfg.mode = SyncMode::SemiAsync;
+    cfg.staleness_bound = 0;
+    EXPECT_NO_THROW(cfg.validate("test"));
+    cfg.pipeline_depth = 2;
+    EXPECT_THROW(cfg.validate("test"), std::invalid_argument);
+
+    // Sync is SemiAsync(S=0) under compression too: the same train
+    // function encodes every push against the same pulled weights.
+    FlSystemConfig sync_cfg = compressed_system("", 0, Compression::Int8);
+    sync_cfg.ps.mode = SyncMode::Sync;
+    FlSystem sync(sync_cfg);
+    FlSystem semi(compressed_system("", 0, Compression::Int8));
+    for (uint64_t round = 0; round < 3; ++round) {
+        sync.run_round(kRoundIds, round);
+        semi.run_round(kRoundIds, round);
+        const auto &a = sync.server().global_weights();
+        const auto &b = semi.server().global_weights();
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(a[i], b[i]) << "round " << round << " index " << i;
+    }
+    EXPECT_GT(sync.ps()->push_payload_bytes(), 0u);
+    EXPECT_EQ(sync.ps()->push_payload_bytes(),
+              semi.ps()->push_payload_bytes());
+}
 
 TEST(Compression, ClusterInt8MatchesInProcessInt8BitForBit)
 {

@@ -937,35 +937,43 @@ TEST(FlCluster, DeadWorkerBecomesEvictionNotHang)
 {
     // Kill-a-client semantics: worker 0 wedges (heartbeats stop,
     // transport stays open — the hard failure mode) after one job. The
-    // Monitor must declare it dead, its in-flight jobs must surface as
-    // staleness evictions, and the round — and the next round, re-routed
-    // around the corpse — must complete. The test's own deadline is the
-    // ctest timeout; no sleeps tuned to luck.
-    FlSystemConfig cfg = cluster_system("loopback", 2);
-    cfg.ps.net.heartbeat_interval_ms = 25;
-    cfg.ps.net.heartbeat_timeout_ms = 250;
-    cfg.ps.net.round_timeout_ms = 60000;  // Backstop only; must not fire.
-    FlSystem fl(cfg);
-    ASSERT_NE(fl.cluster(), nullptr);
-    std::string err;
-    ASSERT_TRUE(fl.cluster()->start(&err)) << err;
-    ASSERT_NE(fl.cluster()->loopback_worker(0), nullptr);
-    fl.cluster()->loopback_worker(0)->halt_after_jobs(1);
+    // Monitor must declare it dead, its in-flight jobs must be dropped
+    // as evictions, and the round — and the next round, re-routed
+    // around the corpse — must complete. At S=1 the round is two
+    // batches, and each lost job must close its batch. The test's own
+    // deadline is the ctest timeout; no sleeps tuned to luck.
+    for (int bound : {0, 1}) {
+        SCOPED_TRACE("staleness_bound " + std::to_string(bound));
+        FlSystemConfig cfg = cluster_system("loopback", 2);
+        cfg.ps.staleness_bound = bound;
+        cfg.ps.net.heartbeat_interval_ms = 25;
+        cfg.ps.net.heartbeat_timeout_ms = 250;
+        cfg.ps.net.round_timeout_ms = 60000;  // Backstop; must not fire.
+        FlSystem fl(cfg);
+        ASSERT_NE(fl.cluster(), nullptr);
+        std::string err;
+        ASSERT_TRUE(fl.cluster()->start(&err)) << err;
+        ASSERT_NE(fl.cluster()->loopback_worker(0), nullptr);
+        fl.cluster()->loopback_worker(0)->halt_after_jobs(1);
 
-    const PsRoundStats r0 = fl.run_round(kRoundIds, 0);
-    // Worker 0 owned 3 of the 6 round-robin jobs and completed one.
-    EXPECT_EQ(r0.applied, 4);
-    EXPECT_EQ(r0.evicted, 2);
-    EXPECT_EQ(fl.cluster()->server().dead_evictions(), 2u);
-    EXPECT_EQ(fl.cluster()->server().postoffice().alive_count(), 1);
+        const PsRoundStats r0 = fl.run_round(kRoundIds, 0);
+        // Worker 0 owned 3 of the 6 round-robin jobs and completed one.
+        EXPECT_EQ(r0.applied, 4);
+        EXPECT_EQ(r0.evicted, 2);
+        EXPECT_EQ(r0.commits, bound + 1);
+        EXPECT_EQ(fl.cluster()->server().dead_evictions(), 2u);
+        EXPECT_EQ(fl.cluster()->server().postoffice().alive_count(), 1);
 
-    // The next round routes every job to the survivor and loses none.
-    const PsRoundStats r1 = fl.run_round(kRoundIds, 1);
-    EXPECT_EQ(r1.applied, 6);
-    EXPECT_EQ(r1.evicted, 0);
+        // The next round routes every job to the survivor and loses
+        // none.
+        const PsRoundStats r1 = fl.run_round(kRoundIds, 1);
+        EXPECT_EQ(r1.applied, 6);
+        EXPECT_EQ(r1.evicted, 0);
 
-    // The model is still a model: training continued without worker 0.
-    EXPECT_GT(fl.evaluate(), 0.0);
+        // The model is still a model: training continued without
+        // worker 0.
+        EXPECT_GT(fl.evaluate(), 0.0);
+    }
 }
 
 } // namespace

@@ -52,9 +52,11 @@ TEST(Table4, TemplatesMatchPaper)
     EXPECT_EQ(clusters[3].high, 10);   // C3 = 10/5/5
     EXPECT_EQ(clusters[3].mid, 5);
     EXPECT_EQ(clusters[3].low, 5);
-    for (const auto &c : clusters)
-        if (!c.random)
+    for (const auto &c : clusters) {
+        if (!c.random) {
             EXPECT_EQ(c.high + c.mid + c.low, 20) << c.label;
+        }
+    }
 }
 
 TEST(RandomPolicy, SelectsKDistinctDevices)

@@ -3,11 +3,13 @@
  * Parameter-server runtime tests: ShardedStore shard math and
  * versioning, PsExecutor scheduling, and the aggregation-equivalence
  * guarantees — Sync and SemiAsync with staleness bound 0 reproduce the
- * reference barrier round bit-for-bit for every algorithm, and results
- * never depend on thread count.
+ * reference barrier round bit-for-bit for every algorithm, and every
+ * mode's results depend on the seed alone, never on thread count,
+ * pipeline depth or transport.
  */
 #include <atomic>
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -268,6 +270,91 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto &info) {
         return algorithm_name(std::get<0>(info.param)) + "_threads" +
             std::to_string(std::get<1>(info.param));
+    });
+
+/** A staleness discipline whose rounds span several commits. */
+struct ModeCase
+{
+    const char *name;
+    SyncMode mode;
+    int staleness_bound;
+};
+
+/** Where and how the rounds run. */
+struct RuntimeCase
+{
+    const char *name;
+    int threads;
+    int depth;             ///< > 1 streams through submit_round.
+    int loopback_workers;  ///< > 0 routes rounds over the net layer.
+};
+
+const RuntimeCase kReferenceRuntime = {"Depth1Threads1", 1, 1, 0};
+
+void
+PrintTo(const ModeCase &m, std::ostream *os)
+{
+    *os << m.name;
+}
+
+void
+PrintTo(const RuntimeCase &rt, std::ostream *os)
+{
+    *os << rt.name;
+}
+
+/** Train kRoundIds for four rounds and return the final weights. */
+std::vector<float>
+train_four_rounds(const ModeCase &m, const RuntimeCase &rt)
+{
+    FlSystemConfig cfg = ps_system(m.mode, m.staleness_bound, rt.threads);
+    cfg.ps.pipeline_depth = rt.depth;
+    if (rt.loopback_workers > 0) {
+        cfg.ps.net.listen = "loopback";
+        cfg.ps.net.workers = rt.loopback_workers;
+    }
+    FlSystem fl(cfg);
+    for (uint64_t round = 0; round < 4; ++round) {
+        if (rt.depth > 1)
+            fl.submit_round(kRoundIds, round, nullptr);
+        else
+            fl.run_round(kRoundIds, round);
+    }
+    fl.drain();
+    return fl.server().global_weights();
+}
+
+class CommitDeterminismTest
+    : public ::testing::TestWithParam<std::tuple<ModeCase, RuntimeCase>>
+{
+};
+
+TEST_P(CommitDeterminismTest, WeightsAreAFunctionOfTheSeedAlone)
+{
+    // The structural commit rule makes a multi-commit round's result
+    // independent of thread count, pipeline depth and transport: every
+    // runtime must reproduce the single-threaded drained run bit for
+    // bit.
+    const auto [m, rt] = GetParam();
+    const std::vector<float> ref = train_four_rounds(m, kReferenceRuntime);
+    const std::vector<float> got = train_four_rounds(m, rt);
+    expect_same_bits(ref, got, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndRuntimes, CommitDeterminismTest,
+    ::testing::Combine(
+        ::testing::Values(ModeCase{"SemiAsyncS1", SyncMode::SemiAsync, 1},
+                          ModeCase{"SemiAsyncS2", SyncMode::SemiAsync, 2},
+                          ModeCase{"Async", SyncMode::Async, 0}),
+        ::testing::Values(kReferenceRuntime,
+                          RuntimeCase{"Depth1Threads4", 4, 1, 0},
+                          RuntimeCase{"Depth3Streamed", 4, 3, 0},
+                          RuntimeCase{"Loopback2", 4, 1, 2},
+                          RuntimeCase{"Loopback3", 4, 1, 3})),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param).name) + "_" +
+            std::get<1>(info.param).name;
     });
 
 TEST(PsRuntime, SemiAsyncAccountsForEveryPush)

@@ -78,8 +78,9 @@ TEST_P(RandintTest, StaysInBoundsAndHitsAll)
         ASSERT_LE(v, hi);
         seen.insert(v);
     }
-    if (hi - lo < 20)
+    if (hi - lo < 20) {
         EXPECT_EQ(static_cast<int64_t>(seen.size()), hi - lo + 1);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranges, RandintTest,

@@ -56,23 +56,6 @@ admit(RequestQueue &q, InferenceRequest r, uint64_t now)
     ASSERT_FALSE(has_evicted);
 }
 
-/** Pop requests one row at a time; returns their deadlines in order. */
-std::vector<uint64_t>
-pop_order(RequestQueue &q, uint64_t now, uint64_t estimate = 0)
-{
-    std::vector<uint64_t> order;
-    std::vector<InferenceRequest> out, infeasible;
-    while (!q.empty()) {
-        out.clear();
-        infeasible.clear();
-        q.pop_batch(out, infeasible, 1, now, estimate);
-        for (const auto &r : out)
-            order.push_back(r.deadline_us);
-        EXPECT_TRUE(infeasible.empty());
-    }
-    return order;
-}
-
 TEST(RequestQueueSlo, ExpiredOnArrivalIsRefusedBeforeAdmission)
 {
     RequestQueue q(2, ShedPolicy::DropOldest, 8);
