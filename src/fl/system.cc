@@ -164,8 +164,9 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
     // The serving plane. Streaming mode sources snapshots straight from
     // the store (commit waves publish them); the drained and cluster
     // runtimes publish at their round barrier, in evaluate().
-    // Slot count covers the concurrent eval pool so its workers never
-    // serialize on a shared scratch model.
+    // Slot count covers the concurrent eval pool so each of its workers
+    // can run an eval batch at once; eval claims a slot per batch and
+    // yields to serving claims (InferenceEngine::Claim).
     ServeConfig scfg = cfg_.serve;
     if (ps_ && ps_->pipelined())
         scfg.workers = std::max(scfg.workers, cfg_.ps.eval_workers);

@@ -253,21 +253,19 @@ DynamicBatcher::dispatch_loop()
         for (auto &req : infeasible)
             finish(req, ReplyStatus::DeadlineExceeded);
 
-        uint64_t dur_us = 0;
-        if (!batch.empty()) {
-            const uint64_t t0 = serve_now_us();
-            dispatch(m, batch);
-            dur_us = serve_now_us() - t0;
-        }
+        const uint64_t dur_us = batch.empty() ? 0 : dispatch(m, batch);
 
         lk.lock();
         m.running -= 1;
         if (dur_us != 0) {
-            // EWMA of batch service time: the feasibility estimate used
+            // EWMA of batch infer() time: the feasibility estimate used
             // to shed requests that cannot finish before their
-            // deadline. Full-batch durations make it conservative for
-            // partial batches — sheds err toward firing only when the
-            // deadline is truly hopeless or the backlog deep.
+            // deadline. It excludes the wait for an engine slot — one
+            // long hold must not mark requests late that would run in
+            // time once it ends. Full-batch durations make it
+            // conservative for partial batches — sheds err toward
+            // firing only when the deadline is truly hopeless or the
+            // backlog deep.
             m.ewma_us = m.ewma_us == 0 ? dur_us
                                        : (3 * m.ewma_us + dur_us) / 4;
         }
@@ -278,7 +276,7 @@ DynamicBatcher::dispatch_loop()
     }
 }
 
-void
+uint64_t
 DynamicBatcher::dispatch(Model &m, std::vector<InferenceRequest> &batch)
 {
     assert(!batch.empty());
@@ -286,7 +284,7 @@ DynamicBatcher::dispatch(Model &m, std::vector<InferenceRequest> &batch)
     if (!snap.valid()) {
         for (auto &req : batch)
             finish(req, ReplyStatus::NoModel);
-        return;
+        return 0;
     }
 
     // Coalesce every request's samples into one model-ready tensor
@@ -334,9 +332,17 @@ DynamicBatcher::dispatch(Model &m, std::vector<InferenceRequest> &batch)
         }
     }
 
-    // One inference pass over the coalesced batch; forward() claims a
-    // free engine slot (waiting on the pool's condvar under load).
-    Tensor logits = m.service.engine().forward(snap, std::move(big));
+    // One inference pass over the coalesced batch on a foreground slot
+    // claim (waiting on the pool's condvar under load); only infer() is
+    // timed.
+    Tensor logits;
+    uint64_t infer_us = 0;
+    {
+        InferenceEngine::Lease lease(m.service.engine(), snap);
+        const uint64_t t0 = serve_now_us();
+        logits = lease.model().infer(std::move(big));
+        infer_us = serve_now_us() - t0;
+    }
     const int classes = logits.dim(-1);
 
     // Count before fulfilling any promise: a caller whose future just
@@ -371,6 +377,7 @@ DynamicBatcher::dispatch(Model &m, std::vector<InferenceRequest> &batch)
         req.promise.set_value(std::move(reply));
         row += n;
     }
+    return infer_us;
 }
 
 void

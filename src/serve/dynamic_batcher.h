@@ -27,7 +27,7 @@
  *    equal deadlines, with a starvation bound (see RequestQueue).
  *  - **Deadline-aware shedding.** A request whose deadline has passed
  *    at arrival, or provably cannot be met given the model's observed
- *    (EWMA) batch service time at dispatch, completes as
+ *    (EWMA) batch infer() time at dispatch, completes as
  *    ReplyStatus::DeadlineExceeded *without ever executing* — the plane
  *    never spends a forward pass on an answer it then throws away.
  *
@@ -138,13 +138,14 @@ class DynamicBatcher
         const int batch_rank;  ///< Workload's input rank (cached).
         RequestQueue queue;    ///< Guarded by the batcher's mu_.
         ServeStats stats;      ///< Guarded by mu_.
-        uint64_t ewma_us = 0;  ///< Observed batch service time (mu_).
+        uint64_t ewma_us = 0;  ///< Observed batch infer() time (mu_).
         int running = 0;       ///< Dispatchers currently on this model.
         int guarantee = 1;     ///< Weighted slot guarantee (start()).
     };
 
     void dispatch_loop();
-    void dispatch(Model &m, std::vector<InferenceRequest> &batch);
+    /** Run one batch; returns its infer() microseconds (0 if none ran). */
+    uint64_t dispatch(Model &m, std::vector<InferenceRequest> &batch);
     /** Next model a free dispatcher should serve; -1 when none has
      *  work. Guarantee-entitled models always win over borrowers. */
     int pick_model() const;  // Requires mu_.

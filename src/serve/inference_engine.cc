@@ -82,31 +82,50 @@ InferenceEngine::InferenceEngine(Workload workload, const ServeConfig &cfg)
 }
 
 InferenceEngine::Slot &
-InferenceEngine::claim(const SnapshotHandle &snap)
+InferenceEngine::claim(const SnapshotHandle &snap, Claim c)
 {
     const void *id = snap.valid() ? snap.owner().get() : nullptr;
     std::unique_lock<std::mutex> lk(pool_mu_);
+    int &waiting = c == Claim::Serve ? serve_waiting_ : eval_waiting_;
+    ++waiting;
     for (;;) {
         // Prefer a free slot that already holds this snapshot's weights
         // (serving affinity: no reload); fall back to any free slot.
-        Slot *any_free = nullptr;
+        Slot *pick = nullptr;
+        int free = 0;
         for (auto &sp : slots_) {
             if (sp->busy)
                 continue;
-            if (sp->loaded.get() == id) {
-                sp->busy = true;
-                return *sp;
+            ++free;
+            if (pick == nullptr || (sp->loaded.get() == id &&
+                                    pick->loaded.get() != id))
+                pick = sp.get();
+        }
+        // Free slots go to waiting Serve claims first; once Eval claims
+        // have been passed over starvation_limit times, one is owed the
+        // next slot.
+        const bool eval_due = eval_waiting_ > 0 &&
+            eval_passed_over_ >= cfg_.starvation_limit;
+        const bool may_take = c == Claim::Serve
+            ? free > (eval_due ? 1 : 0)
+            : free > 0 && (eval_due || free > serve_waiting_);
+        if (may_take) {
+            --waiting;
+            pick->busy = true;
+            if (c == Claim::Eval) {
+                eval_passed_over_ = 0;
+            } else if (eval_waiting_ > 0 &&
+                       ++eval_passed_over_ == cfg_.starvation_limit &&
+                       free > 1) {
+                // Eval just became due and a slot is still free: wake
+                // the waiter that is now owed it.
+                free_cv_.notify_all();
             }
-            if (any_free == nullptr)
-                any_free = sp.get();
+            return *pick;
         }
-        if (any_free != nullptr) {
-            any_free->busy = true;
-            return *any_free;
-        }
-        // Every slot busy: wait for whichever frees first. release()
-        // signals the pool, so N waiters over N slots always make
-        // progress on any freed slot.
+        // Wait for whichever slot frees first. release() wakes every
+        // waiter: a single wakeup could land on a claim of the class
+        // that must keep yielding while the due one sleeps on.
         free_cv_.wait(lk);
     }
 }
@@ -118,12 +137,19 @@ InferenceEngine::release(Slot &s)
         std::lock_guard<std::mutex> lk(pool_mu_);
         s.busy = false;
     }
-    free_cv_.notify_one();
+    free_cv_.notify_all();
+}
+
+int
+InferenceEngine::waiting(Claim c) const
+{
+    std::lock_guard<std::mutex> lk(pool_mu_);
+    return c == Claim::Serve ? serve_waiting_ : eval_waiting_;
 }
 
 InferenceEngine::Lease::Lease(InferenceEngine &eng,
-                              const SnapshotHandle &snap)
-    : eng_(&eng), slot_(&eng.claim(snap))
+                              const SnapshotHandle &snap, Claim c)
+    : eng_(&eng), slot_(&eng.claim(snap, c))
 {
     // The weight load runs outside pool_mu_: the busy flag makes the
     // slot exclusively ours, so only the pool scan ever holds the lock.
@@ -159,8 +185,9 @@ InferenceEngine::evaluate(const SnapshotHandle &snap, const Dataset &test,
     // outcome is identical whatever the fan-out.
     std::vector<int> correct(static_cast<size_t>(batches), 0);
     std::vector<double> loss(static_cast<size_t>(batches), 0.0);
+    // Each batch is its own background claim held across infer() only,
+    // so serving waits behind at most one eval batch.
     auto worker = [&](int tid) {
-        Lease lease(*this, snap);
         SoftmaxCrossEntropy lossfn;
         std::vector<int> idx;
         for (int b = tid; b < batches; b += threads) {
@@ -168,7 +195,12 @@ InferenceEngine::evaluate(const SnapshotHandle &snap, const Dataset &test,
             const int end = std::min(n, begin + bs);
             idx.resize(static_cast<size_t>(end - begin));
             std::iota(idx.begin(), idx.end(), begin);
-            Tensor logits = lease.model().infer(test.batch_x(idx));
+            Tensor x = test.batch_x(idx);
+            Tensor logits;
+            {
+                Lease lease(*this, snap, Claim::Eval);
+                logits = lease.model().infer(std::move(x));
+            }
             // loss.forward returns the batch mean; weight it back to a
             // sum so the dataset mean is exact with a ragged tail.
             loss[static_cast<size_t>(b)] =
@@ -205,14 +237,18 @@ InferenceEngine::classify(const SnapshotHandle &snap, const Dataset &data,
     if (!snap.valid() || indices.empty())
         return out;
     out.reserve(indices.size());
-    Lease lease(*this, snap);
     const size_t bs = static_cast<size_t>(cfg_.batch_size);
     std::vector<int> chunk;
     for (size_t begin = 0; begin < indices.size(); begin += bs) {
         const size_t end = std::min(indices.size(), begin + bs);
         chunk.assign(indices.begin() + static_cast<ptrdiff_t>(begin),
                      indices.begin() + static_cast<ptrdiff_t>(end));
-        Tensor logits = lease.model().infer(data.batch_x(chunk));
+        Tensor x = data.batch_x(chunk);
+        Tensor logits;
+        {
+            Lease lease(*this, snap);
+            logits = lease.model().infer(std::move(x));
+        }
         const std::vector<int> cls = argmax_rows(logits);
         out.insert(out.end(), cls.begin(), cls.end());
     }

@@ -11,6 +11,17 @@
  * GEMM where the per-sample path ran batch GEMV-shaped calls) and
  * retains no backward state.
  *
+ * Claim rules: every engine call holds a slot for one infer() at a
+ * time — forward() for its batch, classify() and evaluate() per
+ * cfg.batch_size chunk. Claims come in two classes. Serving
+ * (Claim::Serve: forward(), classify(), a default Lease) is
+ * foreground; evaluate()'s per-batch claims (Claim::Eval) are
+ * background. A freed slot goes to a waiting foreground claim before a
+ * waiting background one, so a request waits behind at most one eval
+ * batch, not a whole test set. Liveness: once background claims have
+ * been passed over cfg.starvation_limit times in a row, the next free
+ * slot goes to one of them, so a saturated service cannot starve eval.
+ *
  * Determinism contract: evaluate() partitions the dataset into
  * fixed-size batches in index order and reduces per-batch results in
  * batch order, so accuracy and loss are identical for ANY fan-out.
@@ -125,18 +136,26 @@ class InferenceEngine
     InferenceEngine(const InferenceEngine &) = delete;
     InferenceEngine &operator=(const InferenceEngine &) = delete;
 
+    /** Scheduling class of a slot claim (see the file comment). */
+    enum class Claim : uint8_t {
+        Serve,  ///< Foreground: serving forward passes.
+        Eval,   ///< Background: one evaluate() batch; yields to Serve.
+    };
+
     /**
-     * Score @p test with the snapshot's weights. Thread-safe: each of
-     * the @p fan_out threads (0 = cfg.workers, clamped to the batch
-     * count) claims one worker slot. The result is deterministic for
-     * any fan-out.
+     * Score @p test with the snapshot's weights. Thread-safe: the
+     * @p fan_out threads (0 = cfg.workers, clamped to the batch count)
+     * each take every fan_out-th batch and claim a slot per batch as
+     * Claim::Eval, yielding to serving between batches. The result is
+     * deterministic for any fan-out and any interleaving.
      */
     EvalStats evaluate(const SnapshotHandle &snap, const Dataset &test,
                       int fan_out = 0);
 
     /**
      * Predicted classes for @p indices of @p data, computed in
-     * cfg.batch_size chunks on one claimed slot. Thread-safe.
+     * cfg.batch_size chunks, each on its own foreground claim.
+     * Thread-safe.
      */
     std::vector<int> classify(const SnapshotHandle &snap,
                               const Dataset &data,
@@ -144,7 +163,7 @@ class InferenceEngine
 
     /**
      * Raw logits for one model-ready input batch (layout per
-     * Dataset::batch_x). Thread-safe; claims one slot. Throws
+     * Dataset::batch_x). Thread-safe; one foreground claim. Throws
      * std::invalid_argument on an invalid handle — a slot must never
      * serve without loaded weights.
      */
@@ -159,6 +178,12 @@ class InferenceEngine
      * dimensions against this before attaching them).
      */
     size_t model_params() const { return slots_.front()->model.num_params(); }
+
+    /**
+     * Claims of class @p c currently waiting for a slot. Read-only
+     * observability (tests use it to order waiters without sleeps).
+     */
+    int waiting(Claim c) const;
 
   private:
     /**
@@ -179,20 +204,23 @@ class InferenceEngine
 
   public:
     /**
-     * RAII slot claim that also ensures the snapshot's weights are
-     * loaded. Claiming prefers a free slot that already holds this
-     * snapshot (serving affinity: no reload), then any free slot; when
-     * every slot is busy the claim waits on the pool's free-slot
-     * condition variable and takes *whichever* slot frees first —
-     * waiters never park on one predetermined slot while others open
-     * up. Public so callers that make several engine calls against one
-     * snapshot (or tests pinning a slot) can hold the claim across
-     * them.
+     * RAII slot claim of class @p c that also ensures the snapshot's
+     * weights are loaded. Claiming prefers a free slot that already
+     * holds this snapshot (serving affinity: no reload), then any free
+     * slot. When none is free to this class — every slot busy, or the
+     * free ones owed to the other class's waiters — the claim waits on
+     * the pool's condition variable and takes *whichever* slot frees
+     * first; waiters never park on one predetermined slot. A freed slot
+     * goes to a waiting Serve claim before a waiting Eval claim, unless
+     * Eval claims have been passed over cfg.starvation_limit times in a
+     * row. Public so tests (and callers that must pin a slot) can hold
+     * a claim; holding one across many infer() calls blocks serving.
      */
     class Lease
     {
       public:
-        Lease(InferenceEngine &eng, const SnapshotHandle &snap);
+        Lease(InferenceEngine &eng, const SnapshotHandle &snap,
+              Claim c = Claim::Serve);
         ~Lease() { eng_->release(*slot_); }
         Lease(const Lease &) = delete;
         Lease &operator=(const Lease &) = delete;
@@ -207,10 +235,13 @@ class InferenceEngine
     Workload workload_;
     ServeConfig cfg_;
     std::vector<std::unique_ptr<Slot>> slots_;
-    std::mutex pool_mu_;               ///< Guards every Slot::busy flag.
-    std::condition_variable free_cv_;  ///< Signaled on each release().
+    mutable std::mutex pool_mu_;  ///< Guards busy flags and counters below.
+    std::condition_variable free_cv_;  ///< Broadcast when a waiter may proceed.
+    int serve_waiting_ = 0;    ///< Claim::Serve callers blocked in claim().
+    int eval_waiting_ = 0;     ///< Claim::Eval callers blocked in claim().
+    int eval_passed_over_ = 0; ///< Serve wins in a row while Eval waited.
 
-    Slot &claim(const SnapshotHandle &snap);
+    Slot &claim(const SnapshotHandle &snap, Claim c);
     void release(Slot &s);
 };
 

@@ -131,7 +131,7 @@ RequestQueue::pop_batch(std::vector<InferenceRequest> &out,
                 : passed_over_[o] + 1;
 
         // Feasibility shed: a request that cannot finish before its
-        // deadline — given the model's observed batch service time —
+        // deadline — given the model's observed batch infer() time —
         // is never executed. It is removed here (not left queued) so a
         // hopeless request cannot occupy its class's EDF head forever.
         if (req.deadline_us != 0 &&

@@ -147,7 +147,7 @@ class RequestQueue
      * equal deadlines) until @p max_rows samples are gathered or the
      * queue empties. A picked request whose deadline cannot be met —
      * deadline_us != 0 and deadline_us < now_us + estimate_us, where
-     * the estimate is the model's observed batch service time — goes to
+     * the estimate is the model's observed batch infer() time — goes to
      * @p infeasible instead of @p out (shed before executing, counted
      * by the caller as DeadlineExceeded).
      * @return Rows gathered into @p out.

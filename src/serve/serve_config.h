@@ -56,7 +56,7 @@ struct SubmitOptions
      * Absolute completion deadline in microseconds on the serving
      * plane's steady clock (see ModelService::now_us()). 0 = no
      * deadline. A request whose deadline already passed — or provably
-     * cannot be met given the model's observed batch service time — is
+     * cannot be met given the model's observed batch infer() time — is
      * shed as ReplyStatus::DeadlineExceeded *before* any inference
      * work runs on it.
      */
@@ -154,7 +154,10 @@ struct ServeConfig
     /**
      * Starvation bound: after a priority class's head request has been
      * passed over this many times by higher-class dispatches, it wins
-     * the next dispatch regardless of class. Must be >= 1.
+     * the next dispatch regardless of class. The engine applies the
+     * same bound to eval: after this many serving claims in a row took
+     * a slot while an eval batch waited, eval wins the next free slot.
+     * Must be >= 1.
      */
     int starvation_limit = 8;
 

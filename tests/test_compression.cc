@@ -493,8 +493,8 @@ TEST(Compression, ClusterInt8MatchesInProcessInt8BitForBit)
 {
     // The compressed runtime's parity guarantee: the encoded-delta wire
     // path (worker-side error feedback, PushDelta frames, server-side
-    // reconstruction against the cached pull base) must produce the
-    // very same bits as the in-process compressed runtime's
+    // reconstruction against the round's pinned pull base) must produce
+    // the very same bits as the in-process compressed runtime's
     // decode-before-commit — placement and transport cannot leak into
     // the weights, compressed or not.
     FlSystem direct(compressed_system("", 0, Compression::Int8));

@@ -1,7 +1,8 @@
 /**
  * @file
  * Request-scheduling tests for the serving plane: the free-slot engine
- * claim (waiters progress on any freed slot), dynamic-batching
+ * claim (waiters progress on any freed slot; serving claims beat eval
+ * claims, within the starvation bound), dynamic-batching
  * coalescing and deadline semantics, admission control under overload
  * (both shed policies), shutdown typing, and the determinism property —
  * same requests, same predictions, at any concurrency (bit-exact on the
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -63,6 +65,131 @@ TEST(EngineClaim, WaitersProgressOnAnyFreedSlot)
     for (auto &t : ts)
         t.join();
     EXPECT_EQ(done.load(), kWaiters);
+}
+
+using Claim = InferenceEngine::Claim;
+
+/** Threads keeping foreground forward() passes on an engine until destroyed. */
+class ForwardLoad
+{
+  public:
+    ForwardLoad(InferenceEngine &eng, const SnapshotHandle &h, Tensor x,
+                int threads)
+    {
+        for (int t = 0; t < threads; ++t) {
+            ts_.emplace_back([this, &eng, h, x] {
+                while (!stop_.load(std::memory_order_acquire)) {
+                    eng.forward(h, x);
+                    passes_.fetch_add(1, std::memory_order_relaxed);
+                }
+            });
+        }
+        // Return only once the load is actually running.
+        while (passes_.load(std::memory_order_relaxed) == 0)
+            std::this_thread::yield();
+    }
+    ~ForwardLoad()
+    {
+        stop_.store(true, std::memory_order_release);
+        for (auto &t : ts_)
+            t.join();
+    }
+    ForwardLoad(const ForwardLoad &) = delete;
+    ForwardLoad &operator=(const ForwardLoad &) = delete;
+
+  private:
+    std::atomic<bool> stop_{false};
+    std::atomic<int> passes_{0};
+    std::vector<std::thread> ts_;
+};
+
+TEST(EngineClaim, WaitingServeClaimBeatsWaitingEvalClaim)
+{
+    // On a 1-slot engine with an eval claim queued first, a serving
+    // claim that arrives later still gets the freed slot first.
+    const Workload w = Workload::CnnMnist;
+    ServeConfig cfg;
+    cfg.workers = 1;
+    ModelService ms(w, cfg);
+    ms.publish(random_weights(w, 4));
+    const SnapshotHandle h = ms.acquire();
+    InferenceEngine &eng = ms.engine();
+
+    std::mutex mu;
+    std::vector<Claim> order;
+    const auto claimant = [&](Claim c) {
+        return std::thread([&, c] {
+            InferenceEngine::Lease lease(eng, h, c);
+            std::lock_guard<std::mutex> lk(mu);
+            order.push_back(c);
+        });
+    };
+    auto pin = std::make_unique<InferenceEngine::Lease>(eng, h);
+    std::thread bg = claimant(Claim::Eval);
+    while (eng.waiting(Claim::Eval) < 1)
+        std::this_thread::yield();
+    std::thread fg = claimant(Claim::Serve);
+    while (eng.waiting(Claim::Serve) < 1)
+        std::this_thread::yield();
+    pin.reset();
+    fg.join();
+    bg.join();
+    EXPECT_EQ(order, (std::vector<Claim>{Claim::Serve, Claim::Eval}));
+}
+
+TEST(EngineClaim, EvaluateCompletesUnderSaturatingServeLoad)
+{
+    // Liveness: three threads keep the only slot's foreground queue
+    // non-empty, so without the starvation bound every freed slot
+    // would go to a serving claim and eval would never retire.
+    const Workload w = Workload::CnnMnist;
+    const Dataset test = small_test_set(w, 40);
+    ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.batch_size = 4;  // 10 eval batches, each yielding to serving.
+    ModelService ms(w, cfg);
+    ms.publish(random_weights(w, 18));
+    const SnapshotHandle h = ms.acquire();
+    const EvalStats idle = ms.engine().evaluate(h, test);
+
+    auto load =
+        std::make_unique<ForwardLoad>(ms.engine(), h, test.batch_x({0}), 3);
+    auto eval = std::async(std::launch::async,
+                           [&] { return ms.engine().evaluate(h, test); });
+    const std::future_status status =
+        eval.wait_for(std::chrono::seconds(60));
+    load.reset();  // Either way, so a starved eval can still finish.
+    ASSERT_EQ(status, std::future_status::ready)
+        << "evaluate() starved behind serving claims";
+    const EvalStats loaded = eval.get();
+    EXPECT_EQ(loaded.samples, 40);
+    EXPECT_EQ(loaded.correct, idle.correct);
+}
+
+TEST(EngineClaim, EvalStatsUnchangedUnderServeLoad)
+{
+    // Per-batch claims interleave eval with serving in timing-dependent
+    // order; the batch-order reduction keeps EvalStats bit-identical to
+    // an idle run at any fan-out (exact on the scalar arch).
+    ScopedKernelArch scalar(kernels::KernelArch::Scalar);
+    const Workload w = Workload::CnnMnist;
+    const Dataset test = small_test_set(w, 30);  // Ragged last batch.
+    ServeConfig cfg;
+    cfg.workers = 2;
+    cfg.batch_size = 4;
+    ModelService ms(w, cfg);
+    ms.publish(random_weights(w, 19));
+    const SnapshotHandle h = ms.acquire();
+    const EvalStats idle = ms.engine().evaluate(h, test, 1);
+
+    ForwardLoad load(ms.engine(), h, test.batch_x({0, 1}), 2);
+    for (int fan_out : {1, 4}) {
+        const EvalStats st = ms.engine().evaluate(h, test, fan_out);
+        EXPECT_EQ(st.samples, idle.samples) << "fan-out " << fan_out;
+        EXPECT_EQ(st.correct, idle.correct) << "fan-out " << fan_out;
+        EXPECT_EQ(st.mean_loss, idle.mean_loss) << "fan-out " << fan_out;
+        EXPECT_EQ(st.epoch, idle.epoch) << "fan-out " << fan_out;
+    }
 }
 
 // ------------------------------------------------ dynamic batching --
@@ -189,6 +316,39 @@ TEST(DynamicBatcher, CoalescesTimeMajorLstmAlongTheBatchAxis)
         for (size_t i = 0; i < direct.size(); ++i)
             ASSERT_EQ(r.logits[i], direct[i]) << "group " << gi;
     }
+}
+
+TEST(DynamicBatcher, SlotWaitDoesNotInflateServiceEstimate)
+{
+    // The feasibility estimate that sheds "provably late" requests must
+    // track infer() time, not time spent waiting for a slot: after one
+    // long hold, a request whose deadline is far above a forward pass
+    // (but below the hold) still runs.
+    const Workload w = Workload::CnnMnist;
+    const Dataset test = small_test_set(w, 2);
+    ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.batch_timeout_us = 0;
+    ModelService ms(w, cfg);
+    ms.publish(random_weights(w, 15));
+    const SnapshotHandle h = ms.acquire();
+
+    std::future<InferenceReply> first;
+    {
+        InferenceEngine::Lease pin(ms.engine(), h);
+        first = ms.submit(test.batch_x({0}));
+        while (ms.engine().waiting(Claim::Serve) < 1)
+            std::this_thread::yield();
+        // The hold itself: the dispatcher waits this long for the slot.
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    ASSERT_TRUE(first.get().ok());
+
+    SubmitOptions opts;
+    opts.deadline_us = ModelService::now_us() + 50000;
+    const InferenceReply r =
+        ms.submit(test.batch_x({1}), false, opts).get();
+    EXPECT_EQ(r.status, ReplyStatus::Ok) << reply_status_name(r.status);
 }
 
 TEST(DynamicBatcher, NoPublishedModelRepliesTyped)
