@@ -6,8 +6,7 @@
  * parameters; the local (per-device) state captures runtime variance
  * (co-running CPU/memory load, network bandwidth) and data heterogeneity
  * (data classes held this round). Continuous features are discretized
- * into the buckets printed in Table 1; the DBSCAN helper can re-derive
- * equivalent boundaries from observed samples.
+ * into the buckets printed in Table 1.
  */
 #ifndef AUTOFL_CORE_STATE_H
 #define AUTOFL_CORE_STATE_H

@@ -6,6 +6,7 @@
 
 #include "fl/client.h"
 #include "fl/system.h"
+#include "ps/ps_server.h"
 #include "util/rng.h"
 
 namespace autofl {
@@ -52,7 +53,7 @@ FlCluster::start(std::string *err)
     const FlSystemConfig &cfg = sys_.config();
     const NetConfig &ncfg = cfg.ps.net;
     auto cluster = std::make_unique<net::ClusterServer>(
-        sys_.server().global_weights(), cfg.algorithm, cfg.ps);
+        sys_.ps()->aggregator(), sys_.ps()->store(), cfg.ps);
 
     const net::NetAddress addr = net::NetAddress::parse(ncfg.listen);
     if (addr.scheme == net::NetAddress::Scheme::Loopback) {
@@ -117,21 +118,6 @@ FlCluster::start(std::string *err)
         return false;
     }
     return true;
-}
-
-PsRoundStats
-FlCluster::run_round(const std::vector<int> &device_ids, uint64_t round)
-{
-    std::vector<net::ClusterJob> jobs;
-    jobs.reserve(device_ids.size());
-    for (int dev : device_ids)
-        jobs.push_back(net::ClusterJob{dev});
-    PsRoundStats stats = cluster_->run_round(jobs, round);
-    // Same barrier contract as the drained ps runtime: after the round
-    // the Server's weights ARE the store, so evaluate() and the serving
-    // plane consume cluster rounds unchanged.
-    sys_.server().set_global_weights(cluster_->store().read());
-    return stats;
 }
 
 void

@@ -1,17 +1,16 @@
 /**
  * @file
  * FlCluster: the FL system's face of the distributed transport
- * (src/net/). Owns a ClusterServer built from the job's global model
- * and, depending on cfg.ps.net.listen, either a fleet of in-process
+ * (src/net/). Owns a ClusterServer over the system's PsServer and,
+ * depending on cfg.ps.net.listen, either a fleet of in-process
  * loopback workers (deterministic; the bit-parity fast case) or real
  * worker processes over Unix/TCP sockets (spawned from
  * cfg.ps.net.spawn_cmd, or attached externally).
  *
- * Rounds route through ClusterServer::run_round — the same structural
- * commit rule as the in-process runtime — and the trained store is
- * synced back into the Server after every round, so evaluate() and the
- * serving plane work unchanged: a cluster-backed FlSystem produces the
- * in-process weights, just with the workers elsewhere.
+ * Rounds run on PsServer's RoundPipeline with ClusterServer::launch as
+ * its launch step, so commits, checkpoints and eval are the in-process
+ * runtime's: a cluster-backed FlSystem produces the in-process weights,
+ * just with the workers elsewhere.
  */
 #ifndef AUTOFL_FL_FL_CLUSTER_H
 #define AUTOFL_FL_FL_CLUSTER_H
@@ -45,24 +44,13 @@ class FlCluster
     FlCluster &operator=(const FlCluster &) = delete;
 
     /**
-     * Bring the cluster up: build the server from the current global
-     * weights, then — loopback — spawn cfg.ps.net.workers in-process
+     * Bring the cluster up (once): build the server over the system's
+     * PsServer, then — loopback — spawn cfg.ps.net.workers in-process
      * worker threads, or — socket schemes — listen, spawn the
      * configured worker processes (when spawn_cmd is set) and accept
      * them. False with @p err set when the fleet cannot assemble.
      */
     bool start(std::string *err);
-
-    /** Whether start() has completed successfully. */
-    bool started() const { return cluster_ != nullptr; }
-
-    /**
-     * Run one round of @p device_ids through the cluster and sync the
-     * store back into the Server. Dead workers' jobs surface as
-     * `evicted`, never as a hang.
-     */
-    PsRoundStats run_round(const std::vector<int> &device_ids,
-                           uint64_t round);
 
     /** Graceful stop: cluster shutdown, join threads / reap processes. */
     void shutdown();

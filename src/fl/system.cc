@@ -36,13 +36,15 @@ FlSystemConfig::validate() const
             "registry (registry_dir/<model>), so a bare snapshot_dir "
             "would be silently ignored; set exactly one");
     }
-    if (algorithm == Algorithm::Fedl && ps.mode != SyncMode::Sync) {
+    if (algorithm == Algorithm::Fedl &&
+        (ps.mode != SyncMode::Sync || ps.net.enabled())) {
         throw std::invalid_argument(
             "FlSystemConfig.algorithm FEDL requires FlSystemConfig.ps.mode "
-            "Sync (got " + sync_mode_name(ps.mode) + "): its two-phase "
-            "global-gradient exchange is a round barrier, so it runs "
-            "only on the drained Sync round (which also rules out "
-            "ps.net); use FedAvg or FedProx for the other modes");
+            "Sync in process (got " + sync_mode_name(ps.mode) +
+            ", ps.net.listen '" + ps.net.listen + "'): its two-phase "
+            "global-gradient exchange is a round barrier and its "
+            "correction term has no wire section; use FedAvg or FedProx "
+            "for the other modes and over the cluster");
     }
 }
 
@@ -117,9 +119,9 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
     }
 
     if (!cfg_.ps.resume_from.empty()) {
-        // Restore BEFORE any runtime is built: PsServer's store and
-        // the cluster both seed from the server's weights, so setting
-        // them here resumes either runtime alike.
+        // Restore BEFORE PsServer is built: its store seeds from the
+        // server's weights, so setting them here resumes every
+        // transport alike.
         // The topology hash covers workload name + dimension, so a
         // wrong-model artifact fails typed (BadTopology), not by
         // scattering weights.
@@ -139,7 +141,7 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
         resume_round_ = snap.meta.round;
     }
 
-    // The one persistence writer, for whichever runtime trains.
+    // The one persistence writer; PsServer's retirement hook feeds it.
     if (!cfg_.ps.snapshot_dir.empty()) {
         store::RetentionPolicy retention;
         retention.keep_last = cfg_.ps.snapshot_keep_last;
@@ -149,43 +151,44 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
             static_cast<uint32_t>(cfg_.ps.shards), std::move(retention));
     }
 
+    // Under ps.net the jobs go to the cluster's workers. The fleet
+    // assembles lazily at the first round (runtime()), so constructing a
+    // system stays cheap.
+    RoundPipeline::LaunchFn launch;
     if (cfg_.ps.net.enabled()) {
-        // Distributed transport: the cluster owns the store and the
-        // aggregator; it assembles its worker fleet lazily at the
-        // first round so constructing a system stays cheap.
         cluster_ = std::make_unique<FlCluster>(*this);
-    } else {
-        ps_ = std::make_unique<PsServer>(server_, cfg_.workload,
-                                         cfg_.params, cfg_.hyper,
-                                         cfg_.algorithm, cfg_.seed, cfg_.ps,
-                                         cfg_.threads, ckpt_.get());
+        launch = [this](uint64_t round, const std::vector<PsRoundJob> &jobs,
+                        const StoreSnapshot &base) {
+            cluster_->server().launch(round, jobs, base);
+        };
     }
+    ps_ = std::make_unique<PsServer>(server_, cfg_.workload, cfg_.params,
+                                     cfg_.hyper, cfg_.algorithm, cfg_.seed,
+                                     cfg_.ps, cfg_.threads, ckpt_.get(),
+                                     std::move(launch));
 
     // The serving plane. Streaming mode sources snapshots straight from
-    // the store (commit waves publish them); the drained and cluster
-    // runtimes publish at their round barrier, in evaluate().
+    // the store (commit waves publish them); the drained runtime
+    // publishes at its round barrier, in evaluate().
     // Slot count covers the concurrent eval pool so each of its workers
     // can run an eval batch at once; eval claims a slot per batch and
     // yields to serving claims (InferenceEngine::Claim).
     ServeConfig scfg = cfg_.serve;
-    if (ps_ && ps_->pipelined())
+    if (ps_->pipelined())
         scfg.workers = std::max(scfg.workers, cfg_.ps.eval_workers);
     serve_ = std::make_unique<ModelService>(cfg_.workload, scfg);
-    if (ps_ && ps_->pipelined())
+    if (ps_->pipelined())
         serve_->attach_store(&ps_->store());
 
-    if (ps_) {
-        // Snapshot scorer for the runtime's eval path. Accuracy is an
-        // integer count, deterministic at any fan-out; streaming, the
-        // eval pool parallelizes across snapshots (fan-out 1 per call),
-        // while a drained round's one call fans out across slots.
-        const int fan_out = ps_->pipelined() ? 1 : 0;
-        ps_->set_eval_fn([this, fan_out](const StoreSnapshot &snap) {
-            return serve_->evaluate(SnapshotHandle(snap), data_.test,
-                                    fan_out)
-                .accuracy;
-        });
-    }
+    // Snapshot scorer for the runtime's eval path. Accuracy is an
+    // integer count, deterministic at any fan-out; streaming, the eval
+    // pool parallelizes across snapshots (fan-out 1 per call), while a
+    // drained round's one call fans out across slots.
+    const int fan_out = ps_->pipelined() ? 1 : 0;
+    ps_->set_eval_fn([this, fan_out](const StoreSnapshot &snap) {
+        return serve_->evaluate(SnapshotHandle(snap), data_.test, fan_out)
+            .accuracy;
+    });
 }
 
 FlSystem::~FlSystem()
@@ -196,8 +199,10 @@ FlSystem::~FlSystem()
     // touches the store after it; queued online requests complete as
     // Shutdown, the pipeline's queued eval closures still run — they
     // call the engine directly, not the batcher.
-    if (serve_)
-        serve_->stop_serving();
+    serve_->stop_serving();
+    // Rounds in flight finish before the cluster (destroyed first)
+    // stops its workers.
+    ps_->drain();
 }
 
 const Dataset &
@@ -219,66 +224,39 @@ FlSystem::device_non_iid(int device_id) const
     return partition_.non_iid[static_cast<size_t>(device_id)];
 }
 
+PsServer &
+FlSystem::runtime()
+{
+    std::string err;
+    if (cluster_ && !cluster_->start(&err))
+        throw std::runtime_error("FlSystem: cluster start failed: " + err);
+    return *ps_;
+}
+
 PsRoundStats
 FlSystem::run_round(const std::vector<int> &device_ids, uint64_t round)
 {
-    if (cluster_) {
-        if (!cluster_->started()) {
-            std::string err;
-            if (!cluster_->start(&err))
-                throw std::runtime_error("FlSystem: cluster start "
-                                         "failed: " +
-                                         err);
-        }
-        PsRoundStats stats = cluster_->run_round(device_ids, round);
-        maybe_checkpoint(round);  // Cluster synced the server above.
-        return stats;
-    }
-    return ps_->run_round(round_jobs(*this, device_ids), round);
+    return runtime().run_round(round_jobs(*this, device_ids), round);
 }
 
 void
 FlSystem::submit_round(const std::vector<int> &device_ids, uint64_t round,
                        PsRoundCallback cb)
 {
-    if (cluster_) {
-        // Cluster runtime: the round and its evaluation run inline;
-        // the callback fires before we return.
-        PsRoundResult res;
-        res.round = round;
-        res.stats = run_round(device_ids, round);
-        res.accuracy = evaluate();
-        if (cb)
-            cb(res);
-        return;
-    }
-    ps_->submit_round(round_jobs(*this, device_ids), round, std::move(cb));
+    runtime().submit_round(round_jobs(*this, device_ids), round,
+                           std::move(cb));
 }
 
 void
 FlSystem::drain()
 {
-    if (ps_)
-        ps_->drain();
+    ps_->drain();
 }
 
 bool
 FlSystem::pipelined() const
 {
-    return ps_ && ps_->pipelined();
-}
-
-void
-FlSystem::maybe_checkpoint(uint64_t round)
-{
-    // The cluster's store clock stays on its side of the transport;
-    // the artifact epoch counts completed rounds (round + 1), which for
-    // single-commit rounds is exactly what PsServer would stamp.
-    if (ckpt_ && cfg_.ps.snapshot_due(round)) {
-        ckpt_->request(round, round + 1,
-                       std::make_shared<const std::vector<float>>(
-                           server_.global_weights()));
-    }
+    return ps_->pipelined();
 }
 
 double
@@ -286,9 +264,9 @@ FlSystem::evaluate()
 {
     // One consumption path for every runtime: snapshot handle in,
     // batched engine eval out. Store-backed services (streaming mode)
-    // already hold the latest commit snapshot; the drained and cluster
-    // runtimes publish the current global weights as a model version
-    // first (a no-op when the weights haven't changed).
+    // already hold the latest commit snapshot; the drained runtime
+    // publishes the current global weights as a model version first (a
+    // no-op when the weights haven't changed).
     if (!serve_->store_backed())
         serve_->publish(server_.global_weights());
     return serve_->evaluate(serve_->acquire(), data_.test).accuracy;

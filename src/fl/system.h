@@ -4,8 +4,8 @@
  * aggregation server, and (multithreaded) local training — independent of
  * any scheduling policy. Policies decide *who* trains; FlSystem does the
  * actual learning so accuracy dynamics (IID vs non-IID, straggler drops)
- * are real, not modeled. Rounds run on a PsServer, or on an FlCluster
- * under cfg.ps.net.
+ * are real, not modeled. Rounds run on a PsServer; under cfg.ps.net its
+ * jobs go to an FlCluster's workers.
  */
 #ifndef AUTOFL_FL_SYSTEM_H
 #define AUTOFL_FL_SYSTEM_H
@@ -46,7 +46,8 @@ struct FlSystemConfig
      * actionable message on the first violation. FlSystem's
      * constructor calls this before building anything. Persistence
      * knobs are checked against the directory the run will use (the
-     * registry's when serve.registry_dir is set); FEDL requires Sync.
+     * registry's when serve.registry_dir is set); FEDL requires Sync
+     * in process.
      */
     void validate() const;
 };
@@ -79,9 +80,9 @@ class FlSystem
 
     /**
      * Run one round on the selected devices and aggregate it into the
-     * global model: on the PsServer (concurrent jobs, bounded-staleness
+     * global model on the PsServer (concurrent jobs, bounded-staleness
      * aggregation; Sync commits the whole round at once, FEDL runs its
-     * gradient phase first) or, under cfg.ps.net, on the cluster.
+     * gradient phase first), with jobs on the cluster under cfg.ps.net.
      * In every mode the trained weights are a pure function of (seed,
      * device, round), never of job placement, thread count, pipeline
      * depth or transport.
@@ -95,9 +96,9 @@ class FlSystem
      * pipelined ps runtime (cfg.ps.pipeline_depth > 1) up to depth
      * rounds overlap and @p cb fires in round order — with the round's
      * test accuracy scored by a concurrent eval worker from the round's
-     * final store snapshot — once the round retires. Under any other
-     * runtime the round (and its evaluation) runs inline and @p cb
-     * fires before this returns, so drivers can use one code path.
+     * final store snapshot — once the round retires. Drained, the round
+     * (and its evaluation) runs inline and @p cb fires before this
+     * returns, so drivers can use one code path.
      * Sync never pipelines, whatever its depth.
      * Submit from one driver thread, in increasing round order.
      */
@@ -110,13 +111,12 @@ class FlSystem
     /** Whether submit_round actually overlaps rounds. */
     bool pipelined() const;
 
-    /** The in-process ps runtime; null only under cfg.ps.net. */
+    /** The round runtime, in every mode. */
     PsServer *ps() { return ps_.get(); }
 
     /**
-     * The distributed cluster runtime (cfg.ps.net.listen != ""), or
-     * null. Started lazily at the first round; rounds route through it
-     * instead of the in-process runtimes.
+     * The distributed worker fleet (cfg.ps.net.listen != ""), or null.
+     * Started lazily at the first round; PsServer's jobs run on it.
      */
     FlCluster *cluster() { return cluster_.get(); }
 
@@ -141,10 +141,9 @@ class FlSystem
 
     /**
      * Whether cfg.ps.resume_from restored an artifact into the server
-     * before any runtime was built. Both runtimes seed from the
-     * server's weights (PsServer's store, the cluster), so a resumed
-     * system continues from the artifact state no matter which path
-     * trains.
+     * before PsServer was built. Its store seeds from the server's
+     * weights, so a resumed system continues from the artifact state
+     * whichever transport trains.
      */
     bool resumed() const { return resumed_; }
 
@@ -180,13 +179,15 @@ class FlSystem
     // for the same reason: the pipeline's retirement hook requests
     // into it while ~PsServer drains.
     std::unique_ptr<store::CheckpointWriter> ckpt_;
-    std::unique_ptr<PsServer> ps_;  ///< Null only when ps.net is set.
+    std::unique_ptr<PsServer> ps_;
+    // After ps_: ~FlSystem drains ps_, then the cluster shuts down, and
+    // only then does ps_ (its receive threads' aggregator) die.
     std::unique_ptr<FlCluster> cluster_;  ///< Non-null when ps.net set.
     bool resumed_ = false;
     uint64_t resume_round_ = 0;
 
-    /** The cluster's checkpoint point, at its round barrier. */
-    void maybe_checkpoint(uint64_t round);
+    /** The round runtime, with the cluster's fleet assembled first. */
+    PsServer &runtime();
 };
 
 } // namespace autofl

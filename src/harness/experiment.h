@@ -69,7 +69,7 @@ struct ExperimentConfig
      * in-process runtimes; "loopback" routes rounds through in-process
      * Van endpoints, "unix:/path" or "tcp:host:port" runs real worker
      * processes (net.spawn_cmd) with heartbeat-based failure eviction.
-     * Requires a non-Sync sync_mode and pipeline_depth == 1.
+     * Every sync_mode and pipeline_depth runs over it.
      */
     NetConfig net;
 

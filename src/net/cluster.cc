@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <set>
 
 #include "kernels/kernels.h"
 
@@ -27,27 +28,16 @@ update_from(const Message &m, std::vector<float> weights)
 
 } // namespace
 
-ClusterServer::ClusterServer(std::vector<float> init_weights, Algorithm alg,
+ClusterServer::ClusterServer(AsyncAggregator &agg, const ShardedStore &store,
                              const PsConfig &cfg)
-    : cfg_(cfg), store_(std::move(init_weights), cfg.shards),
-      agg_(store_, alg, cfg),
-      monitor_(po_, cfg.net.heartbeat_timeout_ms,
-               [this](int node, int silent_ms) {
-                   evict_node(node, "heartbeat timeout", silent_ms);
-               })
+    : cfg_(cfg), agg_(agg), store_(store),
+      monitor_(
+          po_, cfg.net.heartbeat_timeout_ms,
+          [this](int node, int silent_ms) {
+              evict_node(node, "heartbeat timeout", silent_ms);
+          },
+          [this] { expire_rounds(); })
 {
-    base_ = store_.latest_snapshot();
-    snapshots_[base_.epoch] = base_.weights;
-    agg_.set_hooks(
-        [this](const StoreSnapshot &snap) {
-            std::lock_guard<std::mutex> lk(round_mu_);
-            snapshots_[snap.epoch] = snap.weights;
-        },
-        [this](uint64_t, const PsRoundStats &stats, uint64_t) {
-            std::lock_guard<std::mutex> lk(round_mu_);
-            retired_ = stats;
-            round_cv_.notify_all();
-        });
     monitor_.start();
 }
 
@@ -155,11 +145,15 @@ ClusterServer::handle(Peer *peer, Message &&m)
       case MsgType::PullReq: {
           // Every pull of the round answers from its pinned base, so
           // all of the round's jobs train on the same weights wherever
-          // and whenever they run.
+          // and whenever they run. A pull of a settled round comes from
+          // an evicted job; it gets no answer.
           StoreSnapshot base;
           {
               std::lock_guard<std::mutex> lk(round_mu_);
-              base = base_;
+              auto it = rounds_.find(m.round);
+              if (it == rounds_.end())
+                  return;
+              base = it->second.base;
           }
           const std::vector<float> &full = *base.weights;
           Message resp;
@@ -198,7 +192,7 @@ ClusterServer::handle(Peer *peer, Message &&m)
               return;
           }
           if (!claim(peer->id, m, nullptr))
-              return;  // Late push from an evicted/stale round.
+              return;  // Late push of an evicted job.
           agg_.push(m.round, PsPush{update_from(m, std::move(m.floats)),
                                     m.seq});
           return;
@@ -220,7 +214,7 @@ ClusterServer::handle(Peer *peer, Message &&m)
           }
           StoreSnapshot base;
           if (!claim(peer->id, m, &base))
-              return;  // Late delta from an evicted/stale round.
+              return;  // Late delta of an evicted job.
           // Reconstruct the absolute weights the worker trained to:
           // the round's pull base plus the decoded delta — the same
           // floats the in-process runtime's decode-before-commit hands
@@ -261,39 +255,46 @@ bool
 ClusterServer::claim(int node, const Message &m, StoreSnapshot *base)
 {
     std::lock_guard<std::mutex> lk(round_mu_);
-    auto it = outstanding_.find(node);
-    if (m.round != current_round_ || it == outstanding_.end())
+    auto r = rounds_.find(m.round);
+    if (r == rounds_.end())
         return false;
-    auto &seqs = it->second;
-    auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
-    if (sit == seqs.end())
+    auto &owner = r->second.owner;
+    auto job = owner.find(m.seq);
+    if (job == owner.end() || job->second != node)
         return false;
-    seqs.erase(sit);
+    owner.erase(job);
     if (base)
-        *base = base_;
+        *base = r->second.base;
+    if (owner.empty())
+        rounds_.erase(r);  // Its base is no longer pulled.
     return true;
 }
 
 void
 ClusterServer::evict_node(int id, const char *why, int silent_ms)
 {
-    std::vector<uint64_t> seqs;
-    uint64_t round = 0;
+    std::vector<std::pair<uint64_t, uint64_t>> lost;  // (round, seq).
     {
         std::lock_guard<std::mutex> lk(round_mu_);
-        auto it = outstanding_.find(id);
-        if (it != outstanding_.end()) {
-            seqs = std::move(it->second);
-            outstanding_.erase(it);
+        for (auto r = rounds_.begin(); r != rounds_.end();) {
+            auto &owner = r->second.owner;
+            for (auto job = owner.begin(); job != owner.end();) {
+                if (job->second != id) {
+                    ++job;
+                    continue;
+                }
+                lost.emplace_back(r->first, job->first);
+                job = owner.erase(job);
+            }
+            r = owner.empty() ? rounds_.erase(r) : std::next(r);
         }
-        round = current_round_;
-        // Account before the drops: the last one retires the round,
-        // run_round returns, and callers read dead_evictions() right
-        // after.
-        dead_evictions_ += seqs.size();
+        // Account before the drops: the last one may retire a round,
+        // and callers read dead_evictions() once the round is
+        // delivered.
+        dead_evictions_ += lost.size();
         barrier_cv_.notify_all();
     }
-    for (uint64_t seq : seqs)
+    for (const auto &[round, seq] : lost)
         agg_.drop(round, seq);
     std::fprintf(stderr,
                  "[net] worker %d gone (%s%s); evicting %zu in-flight "
@@ -302,45 +303,39 @@ ClusterServer::evict_node(int id, const char *why, int silent_ms)
                  silent_ms > 0 ?
                      (" after " + std::to_string(silent_ms) + " ms").c_str() :
                      "",
-                 seqs.size(), seqs.size() == 1 ? "" : "s");
+                 lost.size(), lost.size() == 1 ? "" : "s");
 }
 
-PsRoundStats
-ClusterServer::run_round(const std::vector<ClusterJob> &jobs, uint64_t round)
+void
+ClusterServer::launch(uint64_t round, const std::vector<PsRoundJob> &jobs,
+                      const StoreSnapshot &base)
 {
-    const int n = static_cast<int>(jobs.size());
-    const RoundPlan plan = agg_.register_round(round, n);
-    if (n == 0)
-        return PsRoundStats{};
+    const size_t n = jobs.size();
     const std::vector<int> ids = po_.alive_workers();
-
+    if (ids.empty()) {
+        std::fprintf(stderr,
+                     "[net] round %llu: no alive workers; evicting all %zu "
+                     "jobs\n",
+                     static_cast<unsigned long long>(round), n);
+        dead_evictions_ += n;
+        for (uint64_t seq = 0; seq < n; ++seq)
+            agg_.drop(round, seq);
+        return;
+    }
     std::map<int, std::vector<int32_t>> assign;  // node -> [dev, seq, ...].
     {
         std::lock_guard<std::mutex> lk(round_mu_);
-        // Pin the round's pull base. Later rounds pull later epochs, so
-        // everything older can go.
-        base_ = StoreSnapshot{plan.pull_epoch, snapshots_.at(plan.pull_epoch)};
-        snapshots_.erase(snapshots_.begin(),
-                         snapshots_.lower_bound(plan.pull_epoch));
-        current_round_ = round;
-        retired_.reset();
-        outstanding_.clear();
-        for (int i = 0; i < n && !ids.empty(); ++i) {
-            const int w = ids[static_cast<size_t>(i) % ids.size()];
-            outstanding_[w].push_back(static_cast<uint64_t>(i));
+        RoundState &st = rounds_[round];
+        st.base = base;
+        st.deadline = std::chrono::steady_clock::now() +
+            std::chrono::milliseconds(cfg_.net.round_timeout_ms);
+        for (size_t i = 0; i < n; ++i) {
+            const int w = ids[i % ids.size()];
+            st.owner[i] = w;
             auto &list = assign[w];
-            list.push_back(jobs[static_cast<size_t>(i)].device_id);
-            list.push_back(i);
+            list.push_back(jobs[i].device_id);
+            list.push_back(static_cast<int32_t>(i));
         }
-    }
-    if (ids.empty()) {
-        std::fprintf(stderr,
-                     "[net] round %llu: no alive workers; evicting all %d "
-                     "jobs\n",
-                     static_cast<unsigned long long>(round), n);
-        dead_evictions_ += static_cast<uint64_t>(n);
-        for (int i = 0; i < n; ++i)
-            agg_.drop(round, static_cast<uint64_t>(i));
     }
     for (auto &[w, list] : assign) {
         Message m;
@@ -348,31 +343,34 @@ ClusterServer::run_round(const std::vector<ClusterJob> &jobs, uint64_t round)
         m.from = Postoffice::kServerId;
         m.round = round;
         m.ints = std::move(list);
-        if (!send_to(w, std::move(m)) && po_.mark_dead(w))
-            evict_node(w, "send failed", 0);
+        if (!send_to(w, std::move(m)))
+            po_.mark_dead(w);
     }
+    // A failed send, or a death since the membership read: evict.
+    for (const auto &[w, _] : assign)
+        if (!po_.is_alive(w))
+            evict_node(w, "gone at launch", 0);
+}
 
-    std::unique_lock<std::mutex> lk(round_mu_);
-    const auto retired = [&] { return retired_.has_value(); };
-    if (cfg_.net.round_timeout_ms > 0 &&
-        !round_cv_.wait_for(lk,
-                            std::chrono::milliseconds(
-                                cfg_.net.round_timeout_ms),
-                            retired)) {
-        // Deadline backstop: whoever still owes jobs is a straggler
-        // beyond tolerance — declare dead, evict.
-        std::vector<int> late;
-        for (const auto &[w, seqs] : outstanding_)
-            if (!seqs.empty())
-                late.push_back(w);
-        lk.unlock();
-        for (int w : late)
-            if (po_.mark_dead(w))
-                evict_node(w, "round deadline", 0);
-        lk.lock();
+void
+ClusterServer::expire_rounds()
+{
+    if (cfg_.net.round_timeout_ms <= 0)
+        return;
+    std::set<int> late;
+    {
+        std::lock_guard<std::mutex> lk(round_mu_);
+        const auto now = std::chrono::steady_clock::now();
+        for (const auto &[round, st] : rounds_)
+            if (st.deadline <= now)
+                for (const auto &[seq, w] : st.owner)
+                    late.insert(w);
     }
-    round_cv_.wait(lk, retired);
-    return *retired_;
+    // Stragglers beyond tolerance: declare dead, evict.
+    for (int w : late) {
+        po_.mark_dead(w);
+        evict_node(w, "round deadline", 0);
+    }
 }
 
 bool

@@ -1,42 +1,39 @@
 /**
  * @file
  * ClusterServer: the server node of the distributed parameter-server
- * runtime. Owns the ShardedStore and the bounded-staleness
- * AsyncAggregator (the same commit engine as the in-process runtime),
- * and speaks the wire.h protocol to worker nodes over any Transport —
- * loopback Vans, Unix sockets or TCP.
+ * runtime, a job transport behind PsServer's RoundPipeline (which keeps
+ * the store and the aggregator). It speaks the wire.h protocol to
+ * worker nodes over any Transport — loopback Vans, Unix sockets or TCP.
  *
- * Round protocol. run_round registers the round with the aggregator —
- * the same structural commit discipline as the in-process runtime, so
- * batch b is seqs [bT, (b+1)T), staleness is the batch index and the
- * pull epoch comes from the plan — and pins that epoch's snapshot as the
- * round's pull base. It then assigns jobs round-robin over the alive
- * workers (RoundAssign carries (device, seq) pairs). Every PullReq of
- * the round, ranged or full, answers from the pinned base and every
- * PushDelta is rebuilt against it, so results are a function of the
- * seed alone: independent of worker count, placement and timing, and
- * equal to the in-process runtime's. The round completes when the
- * aggregator retires it.
+ * Round protocol. launch() is the pipeline's launch step: it pins the
+ * round's pull snapshot as its base and assigns job i to
+ * alive[i % alive.size()] (RoundAssign carries (device, seq) pairs).
+ * Every PullReq of the round, ranged or full, answers from the base and
+ * every PushDelta is rebuilt against it; receive threads push into the
+ * aggregator. Round state is keyed by (round, seq), so several rounds
+ * can be in flight. Results are a function of the seed alone:
+ * independent of worker count, placement and timing, and equal to the
+ * in-process runtime's.
  *
  * Failure semantics. The Monitor declares a silent worker dead
  * (heartbeat timeout), a closed transport declares one dead
- * immediately, and the optional round deadline declares heartbeating
- * stragglers dead — in every case the node's in-flight jobs are
- * reported to the aggregator as dropped, which closes their batches and
- * counts them as evicted (PsRoundStats::evicted); the round completes
- * without them. A dead client costs one round's contribution, never a
- * hang.
+ * immediately, and the Monitor's sweep declares heartbeating
+ * stragglers dead once a round they owe passes its deadline — in every
+ * case the node's in-flight jobs are reported to the aggregator as
+ * dropped, which closes their batches and counts them as evicted
+ * (PsRoundStats::evicted); the round completes without them. A dead
+ * client costs one round's contribution, never a hang.
  */
 #ifndef AUTOFL_NET_CLUSTER_H
 #define AUTOFL_NET_CLUSTER_H
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -45,28 +42,24 @@
 #include "net/van.h"
 #include "ps/async_aggregator.h"
 #include "ps/ps_config.h"
+#include "ps/round_pipeline.h"
 #include "ps/sharded_store.h"
 
 namespace autofl::net {
-
-/** One client job of a distributed round. */
-struct ClusterJob
-{
-    int device_id = -1;
-};
 
 /** Server node of the distributed ps runtime. */
 class ClusterServer
 {
   public:
     /**
-     * @param init_weights Initial global model; fixes the store dim.
-     * @param alg Aggregation algorithm (never FEDL, which runs only
-     *        under Sync).
-     * @param cfg Runtime knobs: mode/staleness/shards plus cfg.net
-     *        (heartbeats, timeouts). The monitor starts immediately.
+     * @param agg The runtime's aggregator; receive threads push and
+     *        drop into it. Must outlive this object.
+     * @param store The runtime's store; fixes the model dim and the
+     *        stripes ranged pulls address. Must outlive this object.
+     * @param cfg Runtime knobs; cfg.net sets heartbeats and timeouts.
+     *        The monitor starts immediately.
      */
-    ClusterServer(std::vector<float> init_weights, Algorithm alg,
+    ClusterServer(AsyncAggregator &agg, const ShardedStore &store,
                   const PsConfig &cfg);
 
     /** Shuts the cluster down if still running. */
@@ -92,13 +85,13 @@ class ClusterServer
     int accept_workers(int n, int timeout_ms);
 
     /**
-     * Run one round of @p jobs across the alive workers. Blocks until
-     * the aggregator retires it — every job arrived or dropped — and
-     * returns its stats, dead-worker losses counted as `evicted`. With
-     * no alive workers the round completes immediately, fully evicted.
+     * The pipeline's launch step (RoundPipeline::LaunchFn): pin @p base
+     * and send the assignments. Each job later reaches the aggregator
+     * as a push, or as a drop when its worker dies or misses the round
+     * deadline; with no alive workers every job drops at once.
      */
-    PsRoundStats run_round(const std::vector<ClusterJob> &jobs,
-                           uint64_t round);
+    void launch(uint64_t round, const std::vector<PsRoundJob> &jobs,
+                const StoreSnapshot &base);
 
     /**
      * Membership-wide sync point: broadcast Barrier and wait for every
@@ -112,10 +105,7 @@ class ClusterServer
      */
     void shutdown();
 
-    ShardedStore &store() { return store_; }
-    const ShardedStore &store() const { return store_; }
     Postoffice &postoffice() { return po_; }
-    AsyncAggregator &aggregator() { return agg_; }
 
     /** Total jobs evicted because their worker died or timed out. */
     uint64_t dead_evictions() const { return dead_evictions_; }
@@ -136,9 +126,17 @@ class ClusterServer
         std::thread rx;
     };
 
+    /** A launched round, until its last job is pushed or dropped. */
+    struct RoundState
+    {
+        StoreSnapshot base;  ///< The round's pinned pull base.
+        std::chrono::steady_clock::time_point deadline;
+        std::map<uint64_t, int> owner;  ///< seq -> node, jobs still owed.
+    };
+
     PsConfig cfg_;
-    ShardedStore store_;
-    AsyncAggregator agg_;
+    AsyncAggregator &agg_;
+    const ShardedStore &store_;  ///< Read for its dim and stripes only.
     Postoffice po_;
     Monitor monitor_;
     std::unique_ptr<Listener> listener_;
@@ -147,20 +145,11 @@ class ClusterServer
     bool shut_ = false;
     std::atomic<uint64_t> dead_evictions_{0};
 
-    // Round state, guarded by round_mu_. No aggregator call is made
-    // with round_mu_ held: the aggregator's hooks take it.
+    // Round state, guarded by round_mu_. No aggregator call and no
+    // send is made with round_mu_ held: the aggregator's hooks reach
+    // launch(), which takes it.
     mutable std::mutex round_mu_;
-    std::condition_variable round_cv_;
-    uint64_t current_round_ = 0;
-    std::optional<PsRoundStats> retired_;  ///< Set when the round retires.
-    /** node -> seqs it still owes; empty once the round retires. */
-    std::map<int, std::vector<uint64_t>> outstanding_;
-
-    /** Published epochs a later round may still pin as its base. */
-    std::map<uint64_t, std::shared_ptr<const std::vector<float>>> snapshots_;
-
-    /** The current round's pull base (epoch 0 before any round). */
-    StoreSnapshot base_;
+    std::map<uint64_t, RoundState> rounds_;
 
     // Barrier state.
     std::condition_variable barrier_cv_;
@@ -171,10 +160,13 @@ class ClusterServer
 
     /**
      * Accept a push for (m.round, m.seq) from @p node: true once per
-     * outstanding job of the active round, with the round's pull base
-     * copied into @p base. Late pushes of evicted or past rounds fail.
+     * job the node owes, with the round's pull base copied into
+     * @p base. Late pushes of evicted jobs fail.
      */
     bool claim(int node, const Message &m, StoreSnapshot *base);
+
+    /** Monitor sweep: evict every worker owing a job past its deadline. */
+    void expire_rounds();
 
     /**
      * Drop @p id's in-flight jobs from the round. The caller owns the

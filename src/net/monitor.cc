@@ -4,8 +4,10 @@
 
 namespace autofl::net {
 
-Monitor::Monitor(Postoffice &po, int timeout_ms, OnDead on_dead)
-    : po_(po), timeout_ms_(timeout_ms), on_dead_(std::move(on_dead))
+Monitor::Monitor(Postoffice &po, int timeout_ms, OnDead on_dead,
+                 OnSweep on_sweep)
+    : po_(po), timeout_ms_(timeout_ms), on_dead_(std::move(on_dead)),
+      on_sweep_(std::move(on_sweep))
 {
 }
 
@@ -85,6 +87,8 @@ Monitor::sweep_loop()
             if (po_.mark_dead(id) && on_dead_)
                 on_dead_(id, silent);
         }
+        if (on_sweep_)
+            on_sweep_();
         lk.lock();
     }
 }

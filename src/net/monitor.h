@@ -33,12 +33,17 @@ class Monitor
     /** Invoked (on the monitor thread) once per detected death. */
     using OnDead = std::function<void(int node, int silent_ms)>;
 
+    /** Invoked (on the monitor thread) after every sweep. */
+    using OnSweep = std::function<void()>;
+
     /**
      * @param po Membership book; deaths are recorded there.
-     * @param timeout_ms Silence threshold.
+     * @param timeout_ms Silence threshold; sweeps run every quarter.
      * @param on_dead Death handler (eviction lives in the owner).
+     * @param on_sweep Optional per-sweep hook.
      */
-    Monitor(Postoffice &po, int timeout_ms, OnDead on_dead);
+    Monitor(Postoffice &po, int timeout_ms, OnDead on_dead,
+            OnSweep on_sweep = nullptr);
 
     /** Stops the sweep thread. */
     ~Monitor();
@@ -61,6 +66,7 @@ class Monitor
     Postoffice &po_;
     const int timeout_ms_;
     OnDead on_dead_;
+    OnSweep on_sweep_;
 
     std::mutex mu_;
     std::condition_variable cv_;

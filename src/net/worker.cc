@@ -130,9 +130,11 @@ ClusterWorker::pull(uint64_t round, uint64_t seq, WorkerJob *job)
     req.seq = seq;
     if (!van_->send(std::move(req)))
         return false;
+    // Read the transport, never the stash: the response cannot be
+    // there, and re-reading a stashed message would spin forever.
     for (;;) {
         Message m;
-        const RecvStatus rs = next_message(&m, -1);
+        const RecvStatus rs = van_->recv(&m, -1);
         if (rs == RecvStatus::Timeout)
             continue;
         if (rs != RecvStatus::Ok)

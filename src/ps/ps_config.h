@@ -102,10 +102,10 @@ struct PsConfig
     }
 
     /**
-     * Distributed transport (src/net/). net.listen == "" keeps the
-     * in-process runtime; "loopback" routes rounds through
-     * LoopbackVan endpoints, and a socket scheme runs real worker
-     * processes. See NetConfig.
+     * Distributed transport (src/net/). net.listen == "" runs jobs on
+     * the in-process executor; "loopback" sends them to worker nodes
+     * over LoopbackVan endpoints, and a socket scheme to real worker
+     * processes. Every mode and depth runs over it. See NetConfig.
      */
     NetConfig net;
 

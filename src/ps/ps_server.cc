@@ -105,28 +105,13 @@ PsConfig::validate(const char *who) const
             "deterministic only when a device trains at most once "
             "concurrently");
     }
-    if (net.enabled()) {
-        if (mode == SyncMode::Sync) {
-            throw std::invalid_argument(
-                w + ".net: the distributed transport runs on the "
-                "parameter-server runtime; use mode SemiAsync with "
-                "staleness_bound 0 for synchronous semantics (it is "
-                "bit-identical to Sync), or Async");
-        }
-        if (pipeline_depth != 1) {
-            throw std::invalid_argument(
-                w + ".net requires pipeline_depth == 1 (got " +
-                std::to_string(pipeline_depth) +
-                "): streaming round overlap is not yet wired through "
-                "the transport");
-        }
-    }
 }
 
 PsServer::PsServer(Server &server, Workload workload,
                    const FlGlobalParams &params, const TrainHyper &hyper,
                    Algorithm alg, uint64_t seed, const PsConfig &cfg,
-                   int default_threads, store::CheckpointWriter *ckpt)
+                   int default_threads, store::CheckpointWriter *ckpt,
+                   RoundPipeline::LaunchFn launch)
     : server_(server), params_(params), hyper_(hyper), alg_(alg),
       seed_(seed), cfg_(cfg),
       store_(server.global_weights(), cfg.shards),
@@ -135,11 +120,13 @@ PsServer::PsServer(Server &server, Workload workload,
       agg_(store_, alg, cfg),
       streaming_(cfg.mode != SyncMode::Sync && cfg.pipeline_depth > 1),
       ckpt_(ckpt), eval_exec_(std::max(1, cfg.eval_workers)),
-      pipeline_(exec_, &eval_exec_, agg_, store_, cfg_,
-                [this](int worker, const PsRoundJob &job, uint64_t seq,
-                       const std::vector<float> &weights, uint64_t round) {
-                    return train_job(worker, job, seq, weights, round);
-                })
+      pipeline_(&eval_exec_, agg_, store_,
+                launch ? std::move(launch)
+                       : [this](uint64_t round,
+                                const std::vector<PsRoundJob> &jobs,
+                                const StoreSnapshot &base) {
+                             launch_local(round, jobs, base);
+                         })
 {
     trainers_.reserve(static_cast<size_t>(exec_.threads()));
     for (int t = 0; t < exec_.threads(); ++t)
@@ -185,6 +172,19 @@ PsServer::train_job(int worker, const PsRoundJob &job, uint64_t seq,
                                         weights.data(), u.weights),
         std::memory_order_relaxed);
     return u;
+}
+
+void
+PsServer::launch_local(uint64_t round, const std::vector<PsRoundJob> &jobs,
+                       const StoreSnapshot &base)
+{
+    for (uint64_t seq = 0; seq < jobs.size(); ++seq) {
+        const PsRoundJob job = jobs[seq];
+        exec_.submit([this, job, seq, round, w = base.weights](int worker) {
+            agg_.push(round,
+                      PsPush{train_job(worker, job, seq, *w, round), seq});
+        });
+    }
 }
 
 void

@@ -1,7 +1,8 @@
 /**
  * @file
- * PsServer: the parameter-server runtime facade. Owns the sharded model
- * store, the executor pool, the bounded-staleness aggregator, the
+ * PsServer: the parameter-server runtime facade of every transport. Owns
+ * the sharded model store, the executor pool (or a launch step to the
+ * cluster's workers), the bounded-staleness aggregator, the
  * RoundPipeline every round runs through and its concurrent
  * snapshot-eval pool. Rounds stream only when the mode is not Sync and
  * PsConfig::pipeline_depth > 1; otherwise each submit blocks until its
@@ -28,13 +29,6 @@
 
 namespace autofl {
 
-/** One client job: a device and its local shard. */
-struct PsRoundJob
-{
-    int device_id = -1;
-    const Dataset *shard = nullptr;
-};
-
 /** Parameter-server runtime wrapping a synchronous Server. */
 class PsServer
 {
@@ -49,11 +43,13 @@ class PsServer
      * @param ckpt Snapshot persistence writer, or null. Not owned; must
      *        outlive this object, since ~PsServer drains the pipeline
      *        whose retirement hook requests into it.
+     * @param launch Where jobs run; null for the executor pool.
      */
     PsServer(Server &server, Workload workload, const FlGlobalParams &params,
              const TrainHyper &hyper, Algorithm alg, uint64_t seed,
              const PsConfig &cfg, int default_threads,
-             store::CheckpointWriter *ckpt);
+             store::CheckpointWriter *ckpt,
+             RoundPipeline::LaunchFn launch = nullptr);
 
     ~PsServer();
 
@@ -93,7 +89,6 @@ class PsServer
 
     const ShardedStore &store() const { return store_; }
     AsyncAggregator &aggregator() { return agg_; }
-    PsExecutor &executor() { return exec_; }
 
     /**
      * Push-path wire bytes this runtime would have moved: the sum of
@@ -138,6 +133,10 @@ class PsServer
     LocalUpdate train_job(int worker, const PsRoundJob &job, uint64_t seq,
                           const std::vector<float> &weights,
                           uint64_t round);
+
+    /** The in-process launch step: one executor job per participant. */
+    void launch_local(uint64_t round, const std::vector<PsRoundJob> &jobs,
+                      const StoreSnapshot &base);
 
     /** Submit through the pipeline and wait until it is delivered. */
     PsRoundResult run_drained(const std::vector<PsRoundJob> &jobs,

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ps/ps_server.h"
-
 namespace autofl {
 
-RoundPipeline::RoundPipeline(PsExecutor &exec, PsExecutor *eval_exec,
-                             AsyncAggregator &agg, const ShardedStore &store,
-                             const PsConfig &cfg, TrainFn train)
-    : exec_(exec), eval_exec_(eval_exec), agg_(agg), cfg_(cfg),
-      train_(std::move(train))
+RoundPipeline::RoundPipeline(PsExecutor *eval_exec, AsyncAggregator &agg,
+                             const ShardedStore &store, LaunchFn launch)
+    : eval_exec_(eval_exec), agg_(agg), launch_(std::move(launch))
 {
     // Seed the epoch history with the store's initial snapshot so round
     // 0 (pull epoch 0) can launch immediately.
@@ -67,42 +63,42 @@ RoundPipeline::submit(std::vector<PsRoundJob> jobs, uint64_t round,
     order_.push_back(e);
     last_plan_ = plan;
 
-    try_launch_locked();
     prune_history_locked();
+    launch_ready(lk);
     deliver_ready(lk);  // Covers the empty-round fast path.
 }
 
 void
-RoundPipeline::try_launch_locked()
+RoundPipeline::launch_ready(std::unique_lock<std::mutex> &lk)
 {
-    // Launches are in submission order: a later round never jumps an
-    // earlier one, which keeps the executor's FIFO queue aligned with
-    // the commit order (the deadlock-freedom invariant: a blocked
-    // commit wave's predecessor jobs are always already dequeued).
-    for (auto &e : order_) {
-        if (e->launched || e->plan.expected == 0)
-            continue;
-        auto it = history_.find(e->plan.pull_epoch);
-        if (it == history_.end())
-            return;
-        e->launched = true;
-        launch_locked(*e);
-    }
-}
-
-void
-RoundPipeline::launch_locked(Entry &e)
-{
-    std::shared_ptr<const std::vector<float>> weights =
-        history_.at(e.plan.pull_epoch);
-    const uint64_t round = e.round;
-    for (uint64_t seq = 0; seq < e.jobs.size(); ++seq) {
-        const PsRoundJob job = e.jobs[seq];
-        exec_.submit([this, job, seq, round, weights](int worker) {
-            agg_.push(round,
-                      PsPush{train_(worker, job, seq, *weights, round), seq});
+    // Launches leave in submission order, one thread at a time, with the
+    // lock released (the launch step may send on a transport); whoever
+    // is launching takes the rounds that become ready meanwhile. Order
+    // keeps an executor's FIFO queue aligned with the commit order (the
+    // deadlock-freedom invariant: a blocked commit wave's predecessor
+    // jobs are always already dequeued).
+    if (launching_)
+        return;
+    launching_ = true;
+    for (;;) {
+        auto e = std::find_if(order_.begin(), order_.end(), [](auto &x) {
+            return !x->launched && x->plan.expected > 0;
         });
+        if (e == order_.end())
+            break;
+        auto it = history_.find((*e)->plan.pull_epoch);
+        if (it == history_.end())
+            break;
+        (*e)->launched = true;
+        const uint64_t round = (*e)->round;
+        const std::vector<PsRoundJob> jobs = std::move((*e)->jobs);
+        const StoreSnapshot base{it->first, it->second};
+        lk.unlock();
+        launch_(round, jobs, base);
+        lk.lock();
     }
+    launching_ = false;
+    drain_cv_.notify_all();
 }
 
 void
@@ -110,8 +106,8 @@ RoundPipeline::on_snapshot(const StoreSnapshot &snap)
 {
     std::unique_lock<std::mutex> lk(pmu_);
     history_[snap.epoch] = snap.weights;
-    try_launch_locked();
     prune_history_locked();
+    launch_ready(lk);
 }
 
 void
@@ -228,7 +224,7 @@ RoundPipeline::drain()
 {
     std::unique_lock<std::mutex> lk(pmu_);
     drain_cv_.wait(lk, [this] {
-        return order_.empty() && !delivering_;
+        return order_.empty() && !delivering_ && !launching_;
     });
 }
 

@@ -1,17 +1,17 @@
 /**
  * @file
- * RoundPipeline: the one round scheduler of the in-process runtime —
- * out-of-order execution, in-order commit.
+ * RoundPipeline: the one round scheduler of every runtime — out-of-order
+ * execution, in-order commit.
  *
  * Every round, drained or streamed, runs through it. Rounds are
  * registered with the aggregator at submission, which fixes their
- * layout and pull epoch; jobs launch onto the executor once that epoch
- * publishes. Drained (PsServer at pipeline_depth 1, or Sync) each
- * submit waits for its round before the next is submitted. Streamed
- * (non-Sync, pipeline_depth > 1) submission runs ahead, so round r+1's
- * jobs start as soon as round r's first commit publishes a store
- * snapshot and workers fill a straggler's shadow with the next round's
- * training.
+ * layout and pull epoch; once that epoch publishes, the launch step
+ * starts the jobs on an executor or on the cluster's workers. Drained
+ * (PsServer at pipeline_depth 1, or Sync) each submit waits for its
+ * round before the next is submitted. Streamed (non-Sync,
+ * pipeline_depth > 1) submission runs ahead, so round r+1's jobs start
+ * as soon as round r's first commit publishes a store snapshot and
+ * workers fill a straggler's shadow with the next round's training.
  *
  * Determinism contract. Every scheduling decision is *structural* — a
  * function of the round layout, never of thread timing:
@@ -24,17 +24,17 @@
  *   epoch is a pure function of the seed.
  * - Results are delivered through a reorder buffer in round order.
  *
- * Hence draining or streaming, at any depth and thread count, gives
- * the same weights for the same seed, and SemiAsync(S=0) is bit for bit
- * the synchronous barrier. A corollary of the first-commit pull: when
- * round r launches, every round before r-1 has fully committed, so
- * training overlap structurally spans two rounds. pipeline_depth is a
- * throughput knob only: beyond turning streaming on, it bounds how far
- * results may lag behind submissions.
+ * Hence draining or streaming, at any depth, thread count or transport,
+ * gives the same weights for the same seed, and SemiAsync(S=0) is bit
+ * for bit the synchronous barrier. A corollary of the first-commit
+ * pull: when round r launches, every round before r-1 has fully
+ * committed, so training overlap structurally spans two rounds.
+ * pipeline_depth is a throughput knob only: beyond turning streaming
+ * on, it bounds how far results may lag behind submissions.
  *
- * Evaluation rides the same snapshots: when a round retires, its final
- * snapshot is handed to a concurrent eval pool; accuracy lands in the
- * round's result without ever blocking training.
+ * Persistence and evaluation ride the same snapshots: a retired round's
+ * final snapshot goes to the checkpoint hook and a concurrent eval
+ * pool, without ever blocking training.
  */
 #ifndef AUTOFL_PS_ROUND_PIPELINE_H
 #define AUTOFL_PS_ROUND_PIPELINE_H
@@ -54,16 +54,28 @@
 
 namespace autofl {
 
-struct PsRoundJob;
+struct Dataset;
 
-/** Streaming round scheduler over the executor + aggregator + store. */
+/** One client job: a device and its local shard. */
+struct PsRoundJob
+{
+    int device_id = -1;
+    const Dataset *shard = nullptr;
+};
+
+/** Streaming round scheduler over a launch step + aggregator + store. */
 class RoundPipeline
 {
   public:
-    /** Runs job @p seq of @p round against the pulled weights. */
-    using TrainFn = std::function<LocalUpdate(
-        int worker, const PsRoundJob &job, uint64_t seq,
-        const std::vector<float> &weights, uint64_t round)>;
+    /**
+     * The launch step: start the jobs of @p round against its pinned
+     * pull snapshot @p base, without waiting for them; job i must end in
+     * one aggregator push or drop of (round, i). Called in round order,
+     * one round at a time, with no pipeline lock held.
+     */
+    using LaunchFn = std::function<void(uint64_t round,
+                                        const std::vector<PsRoundJob> &jobs,
+                                        const StoreSnapshot &base)>;
 
     /**
      * Scores an epoch-tagged snapshot (test accuracy). The serving
@@ -85,18 +97,13 @@ class RoundPipeline
         std::shared_ptr<const std::vector<float>> weights)>;
 
     /**
-     * @param exec Training executor (jobs are launched onto it in round
-     *        order — the FIFO queue is what lets blocked commit waves
-     *        always find their predecessor jobs already running).
      * @param eval_exec Concurrent eval pool; null disables evaluation.
      * @param agg Aggregator; the pipeline installs its hooks.
-     * @param cfg Pipeline depth and latency knobs.
-     * @param train Job runner (pull -> local SGD), thread-safe per
-     *        worker index.
+     * @param store The store whose initial snapshot round 0 pulls.
+     * @param launch Where jobs run.
      */
-    RoundPipeline(PsExecutor &exec, PsExecutor *eval_exec,
-                  AsyncAggregator &agg, const ShardedStore &store,
-                  const PsConfig &cfg, TrainFn train);
+    RoundPipeline(PsExecutor *eval_exec, AsyncAggregator &agg,
+                  const ShardedStore &store, LaunchFn launch);
 
     /** Drains all in-flight rounds. */
     ~RoundPipeline();
@@ -140,11 +147,9 @@ class RoundPipeline
         uint64_t final_epoch = 0;
     };
 
-    PsExecutor &exec_;
     PsExecutor *eval_exec_;
     AsyncAggregator &agg_;
-    PsConfig cfg_;
-    TrainFn train_;
+    const LaunchFn launch_;
     EvalFn eval_fn_;
     CheckpointFn checkpoint_fn_;
 
@@ -154,12 +159,12 @@ class RoundPipeline
     std::map<uint64_t, std::shared_ptr<const std::vector<float>>> history_;
     RoundPlan last_plan_;   ///< Most recently submitted round's plan.
     bool delivering_ = false;
+    bool launching_ = false;
 
     void on_snapshot(const StoreSnapshot &snap);
     void on_retired(uint64_t round, const PsRoundStats &stats,
                     uint64_t final_epoch);
-    void try_launch_locked();
-    void launch_locked(Entry &e);
+    void launch_ready(std::unique_lock<std::mutex> &lk);
     void finalize(uint64_t round, double accuracy);
     void deliver_ready(std::unique_lock<std::mutex> &lk);
     void prune_history_locked();

@@ -1,74 +1,11 @@
-/** @file AutoFL core tests: DBSCAN, state encoding, Q-table, reward. */
+/** @file AutoFL core tests: state encoding, Q-table, reward. */
 #include <gtest/gtest.h>
 
 #include "core/autofl.h"
-#include "core/cluster.h"
-#include "core/dbscan.h"
 #include "nn/models.h"
 
 namespace autofl {
 namespace {
-
-TEST(Dbscan, FindsTwoSeparatedClusters)
-{
-    std::vector<std::vector<double>> pts;
-    for (int i = 0; i < 10; ++i) {
-        pts.push_back({0.0 + i * 0.05});
-        pts.push_back({10.0 + i * 0.05});
-    }
-    auto res = dbscan(pts, {0.2, 3});
-    EXPECT_EQ(res.num_clusters, 2);
-    // Points within the same group share a label.
-    EXPECT_EQ(res.labels[0], res.labels[2]);
-    EXPECT_NE(res.labels[0], res.labels[1]);
-}
-
-TEST(Dbscan, MarksIsolatedPointsNoise)
-{
-    std::vector<std::vector<double>> pts;
-    for (int i = 0; i < 8; ++i)
-        pts.push_back({i * 0.01});
-    pts.push_back({100.0});  // isolated
-    auto res = dbscan(pts, {0.1, 3});
-    EXPECT_EQ(res.labels.back(), -1);
-    EXPECT_EQ(res.num_clusters, 1);
-}
-
-TEST(Dbscan, TwoDimensionalClusters)
-{
-    std::vector<std::vector<double>> pts;
-    for (int i = 0; i < 12; ++i) {
-        const double j = (i % 4) * 0.02;
-        pts.push_back({0.0 + j, 0.0 + j});
-        pts.push_back({5.0 + j, 5.0 + j});
-        pts.push_back({0.0 + j, 5.0 + j});
-    }
-    auto res = dbscan(pts, {0.3, 4});
-    EXPECT_EQ(res.num_clusters, 3);
-}
-
-TEST(Dbscan, ThresholdsSplitClusters)
-{
-    std::vector<double> samples;
-    for (int i = 0; i < 20; ++i) {
-        samples.push_back(0.0 + i * 0.01);
-        samples.push_back(1.0 + i * 0.01);
-        samples.push_back(2.0 + i * 0.01);
-    }
-    auto th = derive_thresholds(samples, {0.1, 4});
-    ASSERT_EQ(th.size(), 2u);
-    EXPECT_NEAR(th[0], 0.55, 0.1);
-    EXPECT_NEAR(th[1], 1.55, 0.1);
-    EXPECT_EQ(bucket_of(0.2, th), 0);
-    EXPECT_EQ(bucket_of(1.2, th), 1);
-    EXPECT_EQ(bucket_of(2.2, th), 2);
-}
-
-TEST(Dbscan, SingleClusterYieldsNoThresholds)
-{
-    std::vector<double> samples(30, 1.0);
-    EXPECT_TRUE(derive_thresholds(samples, {0.1, 4}).empty());
-}
 
 TEST(State, GlobalEncodingIsInjective)
 {
@@ -250,36 +187,6 @@ TEST(Reward, LowerEnergyIsBetter)
     RewardConfig cfg;
     EXPECT_GT(compute_reward(cfg, 10.0, 1.0, 80.0, 79.0),
               compute_reward(cfg, 200.0, 8.0, 80.0, 79.0));
-}
-
-TEST(Cluster, KMeansRecoversTiers)
-{
-    Fleet fleet(FleetMix{}, VarianceScenario::None, 11);
-    auto clusters = cluster_devices(fleet, 3, 42);
-    ASSERT_EQ(clusters.assignment.size(), 200u);
-    // All devices of one tier share a cluster, and tiers differ.
-    const int h = clusters.assignment[0];    // device 0 is high-end
-    const int m = clusters.assignment[40];   // device 40 is mid
-    const int l = clusters.assignment[150];  // device 150 is low
-    EXPECT_NE(h, m);
-    EXPECT_NE(m, l);
-    EXPECT_NE(h, l);
-    for (int d = 0; d < 30; ++d)
-        EXPECT_EQ(clusters.assignment[static_cast<size_t>(d)], h);
-    for (int d = 30; d < 100; ++d)
-        EXPECT_EQ(clusters.assignment[static_cast<size_t>(d)], m);
-    for (int d = 100; d < 200; ++d)
-        EXPECT_EQ(clusters.assignment[static_cast<size_t>(d)], l);
-}
-
-TEST(Cluster, FeaturesNormalized)
-{
-    Fleet fleet(FleetMix{}, VarianceScenario::None, 12);
-    auto f = device_features(fleet.device(0));
-    for (double v : f) {
-        EXPECT_GT(v, 0.0);
-        EXPECT_LE(v, 1.05);
-    }
 }
 
 } // namespace

@@ -6,15 +6,19 @@
  * — no crash, no hang), Van endpoints (loopback FIFO semantics, Unix
  * and TCP sockets, garbage bytes on a live socket), Postoffice
  * membership/routing, Monitor failure detection, and the cluster
- * runtime's two headline guarantees: a loopback cluster at
- * SemiAsync(S=0) reproduces the synchronous weights bit for bit, and a
- * worker that dies mid-round costs its in-flight jobs (evicted through
- * the staleness accounting), never a hang.
+ * transport's headline guarantees: a loopback cluster under Sync or
+ * SemiAsync(S=0) reproduces the reference barrier's weights bit for
+ * bit, and a worker that dies mid-round or outlives the round deadline
+ * costs its in-flight jobs (evicted through the staleness accounting),
+ * never a hang.
  */
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <mutex>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -33,14 +37,15 @@
 #include "net/postoffice.h"
 #include "net/van.h"
 #include "net/wire.h"
+#include "ps/async_aggregator.h"
 #include "ps/compression.h"
+#include "ps/round_pipeline.h"
 #include "ps/sharded_store.h"
 #include "reference_barrier.h"
 
 namespace autofl {
 namespace {
 
-using net::ClusterJob;
 using net::ClusterServer;
 using net::ClusterWorker;
 using net::Listener;
@@ -704,67 +709,38 @@ TEST(NetConfigValidation, MessagesCarryTheRejectedValue)
     }
 }
 
-TEST(NetConfigValidation, PsConfigRejectsNetUnderSyncMode)
-{
-    PsConfig cfg;
-    cfg.mode = SyncMode::Sync;
-    cfg.net.listen = "loopback";
-    try {
-        cfg.validate("T");
-        FAIL() << "expected rejection: net transport under Sync mode";
-    } catch (const std::invalid_argument &e) {
-        // The message must point at the fix, not just the problem.
-        EXPECT_NE(std::string(e.what()).find("SemiAsync"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(NetConfigValidation, PsConfigRejectsNetWithPipelining)
-{
-    PsConfig cfg;
-    cfg.mode = SyncMode::SemiAsync;
-    cfg.pipeline_depth = 2;
-    cfg.net.listen = "loopback";
-    try {
-        cfg.validate("T");
-        FAIL() << "expected rejection: net transport with pipeline_depth 2";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("pipeline_depth"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
 TEST(NetConfigValidation, ExperimentConfigPlumbsNetKnobs)
 {
     ExperimentConfig cfg;
     cfg.net.listen = "loopback";
-    cfg.sync_mode = SyncMode::Sync;
+    cfg.net.workers = 0;
     try {
         cfg.validate();
-        FAIL() << "expected rejection: ExperimentConfig.net under Sync";
+        FAIL() << "expected rejection: ExperimentConfig.net.workers = 0";
     } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("ExperimentConfig"),
+        EXPECT_NE(std::string(e.what()).find("ExperimentConfig.net.workers"),
                   std::string::npos)
             << e.what();
     }
-    cfg.sync_mode = SyncMode::SemiAsync;
+    cfg.net.workers = 2;
     EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(NetConfigValidation, FlSystemRejectsFedlOverTheCluster)
 {
-    FlSystemConfig cfg;
-    cfg.algorithm = Algorithm::Fedl;
-    cfg.ps.mode = SyncMode::SemiAsync;
-    cfg.ps.net.listen = "loopback";
-    try {
-        cfg.validate();
-        FAIL() << "expected rejection: FEDL over the cluster";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("FEDL"), std::string::npos)
-            << e.what();
+    for (SyncMode mode : {SyncMode::SemiAsync, SyncMode::Sync}) {
+        SCOPED_TRACE(sync_mode_name(mode));
+        FlSystemConfig cfg;
+        cfg.algorithm = Algorithm::Fedl;
+        cfg.ps.mode = mode;
+        cfg.ps.net.listen = "loopback";
+        try {
+            cfg.validate();
+            FAIL() << "expected rejection: FEDL over the cluster";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("FEDL"), std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -787,29 +763,83 @@ tiny_cluster_cfg()
     return cfg;
 }
 
-/** A worker thread whose "training" adds 1 to every pulled weight. */
+/**
+ * PsServer's round runtime without the FL model: a store, its
+ * aggregator, the RoundPipeline every round runs through and a
+ * ClusterServer as the pipeline's launch step. Members tear down in
+ * reverse: the pipeline drains, then the cluster shuts down.
+ */
+struct ClusterRig
+{
+    ClusterRig(std::vector<float> init, const PsConfig &cfg)
+        : store(std::move(init), cfg.shards),
+          agg(store, Algorithm::FedAvg, cfg), server(agg, store, cfg),
+          pipeline(nullptr, agg, store,
+                   [this](uint64_t round, const std::vector<PsRoundJob> &jobs,
+                          const StoreSnapshot &base) {
+                       server.launch(round, jobs, base);
+                   })
+    {
+    }
+
+    /** Submit a round of @p n jobs (devices 0..n-1) without waiting. */
+    void submit(int n, uint64_t round, PsRoundStats *stats)
+    {
+        std::vector<PsRoundJob> jobs;
+        for (int d = 0; d < n; ++d)
+            jobs.push_back(PsRoundJob{d, nullptr});
+        pipeline.submit(
+            jobs, round,
+            [stats](const PsRoundResult &r) {
+                if (stats)
+                    *stats = r.stats;
+            },
+            /*evaluate=*/false);
+    }
+
+    /** Run a round of @p n jobs to delivery. */
+    PsRoundStats run_round(int n, uint64_t round)
+    {
+        PsRoundStats stats;
+        submit(n, round, &stats);
+        pipeline.drain();
+        return stats;
+    }
+
+    ShardedStore store;
+    AsyncAggregator agg;
+    ClusterServer server;
+    RoundPipeline pipeline;
+};
+
+/** A worker thread running @p fn over a fresh loopback pair. */
 std::thread
-plus_one_worker(ClusterServer &server, const PsConfig &cfg,
-                std::unique_ptr<ClusterWorker> *out)
+loopback_worker(ClusterServer &server, const PsConfig &cfg,
+                std::unique_ptr<ClusterWorker> *out, net::JobFn fn)
 {
     auto [server_end, worker_end] = make_loopback_pair();
     server.add_worker(std::move(server_end));
     *out = std::make_unique<ClusterWorker>(std::move(worker_end), cfg.net);
     ClusterWorker *w = out->get();
-    return std::thread([w] {
+    return std::thread([w, fn = std::move(fn)] {
         std::string err;
         ASSERT_TRUE(w->join(&err)) << err;
-        w->run([](const WorkerJob &job) {
-            LocalUpdate u;
-            u.device_id = job.device_id;
-            u.num_steps = 1;
-            u.num_samples = 1;
-            u.weights = job.weights;
-            for (float &x : u.weights)
-                x += 1.0f;
-            return u;
-        });
+        w->run(fn);
     });
+}
+
+/** "Training" that adds 1 to every pulled weight. */
+LocalUpdate
+plus_one(const WorkerJob &job)
+{
+    LocalUpdate u;
+    u.device_id = job.device_id;
+    u.num_steps = 1;
+    u.num_samples = 1;
+    u.weights = job.weights;
+    for (float &x : u.weights)
+        x += 1.0f;
+    return u;
 }
 
 TEST(ClusterServer, RoundAggregatesPushesFromLoopbackWorkers)
@@ -817,29 +847,26 @@ TEST(ClusterServer, RoundAggregatesPushesFromLoopbackWorkers)
     const PsConfig cfg = tiny_cluster_cfg();
     const std::vector<float> init = {0.0f, 1.0f, 2.0f, 3.0f, 4.0f,
                                      5.0f, 6.0f, 7.0f};
-    ClusterServer server(init, Algorithm::FedAvg, cfg);
+    ClusterRig rig(init, cfg);
     std::unique_ptr<ClusterWorker> w1, w2;
-    std::thread t1 = plus_one_worker(server, cfg, &w1);
-    std::thread t2 = plus_one_worker(server, cfg, &w2);
+    std::thread t1 = loopback_worker(rig.server, cfg, &w1, plus_one);
+    std::thread t2 = loopback_worker(rig.server, cfg, &w2, plus_one);
 
-    std::vector<ClusterJob> jobs;
-    for (int d = 0; d < 6; ++d)
-        jobs.push_back(ClusterJob{d});
-    const PsRoundStats stats = server.run_round(jobs, 0);
+    const PsRoundStats stats = rig.run_round(6, 0);
     EXPECT_EQ(stats.pushed, 6);
     EXPECT_EQ(stats.applied, 6);
     EXPECT_EQ(stats.evicted, 0);
     // Six identical (init + 1) updates average to exactly init + 1.
-    const std::vector<float> after = server.store().read();
+    const std::vector<float> after = rig.store.read();
     ASSERT_EQ(after.size(), init.size());
     for (size_t i = 0; i < init.size(); ++i)
         EXPECT_EQ(after[i], init[i] + 1.0f) << "index " << i;
 
-    EXPECT_TRUE(server.barrier(5000));
-    server.shutdown();
+    EXPECT_TRUE(rig.server.barrier(5000));
+    rig.server.shutdown();
     t1.join();
     t2.join();
-    EXPECT_EQ(server.dead_evictions(), 0u);
+    EXPECT_EQ(rig.server.dead_evictions(), 0u);
 }
 
 TEST(ClusterServer, RangedPullReturnsExactShardSlice)
@@ -848,10 +875,10 @@ TEST(ClusterServer, RangedPullReturnsExactShardSlice)
     std::vector<float> init(10);
     for (size_t i = 0; i < init.size(); ++i)
         init[i] = static_cast<float>(i);
-    ClusterServer server(init, Algorithm::FedAvg, cfg);
+    ClusterRig rig(init, cfg);
 
     auto [server_end, worker_end] = make_loopback_pair();
-    server.add_worker(std::move(server_end));
+    rig.server.add_worker(std::move(server_end));
     Message join;
     join.type = MsgType::Join;
     ASSERT_TRUE(worker_end->send(std::move(join)));
@@ -859,8 +886,16 @@ TEST(ClusterServer, RangedPullReturnsExactShardSlice)
     ASSERT_EQ(worker_end->recv(&ack, 5000), RecvStatus::Ok);
     ASSERT_EQ(ack.type, MsgType::JoinAck);
 
+    // Pulls answer from a launched round's base: launch round 0 (all
+    // four jobs land on this node) and pull as its job 3.
+    rig.submit(4, 0, nullptr);
+    Message assign;
+    ASSERT_EQ(worker_end->recv(&assign, 5000), RecvStatus::Ok);
+    ASSERT_EQ(assign.type, MsgType::RoundAssign);
+
     Message req;
     req.type = MsgType::PullReq;
+    req.round = 0;
     req.seq = 3;
     req.ints = {1, 3};  // Shards [1, 3) of 3.
     ASSERT_TRUE(worker_end->send(std::move(req)));
@@ -868,17 +903,73 @@ TEST(ClusterServer, RangedPullReturnsExactShardSlice)
     ASSERT_EQ(worker_end->recv(&resp, 5000), RecvStatus::Ok);
     ASSERT_EQ(resp.type, MsgType::PullResp);
     const auto [begin, _] =
-        Postoffice::shard_range(1, init.size(), server.store().num_shards());
+        Postoffice::shard_range(1, init.size(), rig.store.num_shards());
     const auto [__, end] =
-        Postoffice::shard_range(2, init.size(), server.store().num_shards());
+        Postoffice::shard_range(2, init.size(), rig.store.num_shards());
     ASSERT_EQ(resp.ints.size(), 2u);
     EXPECT_EQ(resp.ints[0], static_cast<int32_t>(begin));
     EXPECT_EQ(resp.ints[1], static_cast<int32_t>(end));
     ASSERT_EQ(resp.floats.size(), end - begin);
     for (size_t i = begin; i < end; ++i)
         EXPECT_EQ(resp.floats[i - begin], init[i]);
+    // Closing the node evicts its four jobs, which retires the round.
     worker_end->close();
-    server.shutdown();
+    rig.pipeline.drain();
+    rig.server.shutdown();
+}
+
+TEST(ClusterServer, RoundDeadlineEvictsHeartbeatingStraggler)
+{
+    // Worker 1's jobs stall while its heartbeat thread keeps beating,
+    // so the heartbeat monitor never fires: only the round deadline
+    // can end the round. The wait below is bounded; the stalled worker
+    // is released either way so the test never hangs.
+    PsConfig cfg = tiny_cluster_cfg();
+    cfg.net.heartbeat_interval_ms = 25;
+    cfg.net.heartbeat_timeout_ms = 250;
+    cfg.net.round_timeout_ms = 1000;
+    ClusterRig rig(std::vector<float>(8, 0.0f), cfg);
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool released = false;
+    std::unique_ptr<ClusterWorker> w1, w2;
+    std::thread t1 = loopback_worker(
+        rig.server, cfg, &w1, [&](const WorkerJob &job) {
+            std::unique_lock<std::mutex> lk(mu);
+            cv.wait(lk, [&] { return released; });
+            return plus_one(job);
+        });
+    std::thread t2 = loopback_worker(rig.server, cfg, &w2, plus_one);
+
+    auto round0 = std::async(std::launch::async,
+                             [&rig] { return rig.run_round(6, 0); });
+    const bool finished =
+        round0.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        released = true;
+    }
+    cv.notify_all();
+    const PsRoundStats r0 = round0.get();
+    EXPECT_TRUE(finished) << "the round outlived its deadline";
+    // Worker 1 owned jobs 0, 2 and 4 of the round-robin and pushed
+    // none of them in time.
+    EXPECT_EQ(r0.applied, 3);
+    EXPECT_EQ(r0.evicted, 3);
+    EXPECT_EQ(rig.server.dead_evictions(), 3u);
+    EXPECT_FALSE(rig.server.postoffice().is_alive(1));
+    EXPECT_EQ(rig.server.postoffice().alive_count(), 1);
+
+    // The next round goes to the survivor and loses nothing.
+    const PsRoundStats r1 = rig.run_round(6, 1);
+    EXPECT_EQ(r1.applied, 6);
+    EXPECT_EQ(r1.evicted, 0);
+    EXPECT_EQ(rig.server.dead_evictions(), 3u);
+
+    rig.server.shutdown();
+    t1.join();
+    t2.join();
 }
 
 // ------------------------------------------------- FL over the cluster --
@@ -930,6 +1021,30 @@ TEST(FlCluster, LoopbackSemiAsyncZeroBoundMatchesSyncBitForBit)
             ASSERT_EQ(a[i], b[i]) << "round " << round << " index " << i;
     }
     ASSERT_NE(clustered.cluster(), nullptr);
+    EXPECT_EQ(clustered.cluster()->server().dead_evictions(), 0u);
+}
+
+TEST(FlCluster, LoopbackSyncMatchesReferenceBarrierBitForBit)
+{
+    // Sync over the net is an ordinary pipeline submission: the round
+    // commits once, at its barrier, on the reference barrier's bits.
+    testing::ReferenceBarrier ref(cluster_system("", 0));
+    FlSystemConfig cfg = cluster_system("loopback", 2);
+    cfg.ps.mode = SyncMode::Sync;
+    FlSystem clustered(cfg);
+    ASSERT_NE(clustered.ps(), nullptr);  // One runtime in every mode.
+
+    for (uint64_t round = 0; round < 3; ++round) {
+        ref.run_round(kRoundIds, round);
+        const PsRoundStats st = clustered.run_round(kRoundIds, round);
+        EXPECT_EQ(st.applied, static_cast<int>(kRoundIds.size()));
+        EXPECT_EQ(st.commits, 1);
+        const auto &a = ref.weights();
+        const auto &b = clustered.server().global_weights();
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(a[i], b[i]) << "round " << round << " index " << i;
+    }
     EXPECT_EQ(clustered.cluster()->server().dead_evictions(), 0u);
 }
 

@@ -351,7 +351,9 @@ INSTANTIATE_TEST_SUITE_P(
                           RuntimeCase{"Depth1Threads4", 4, 1, 0},
                           RuntimeCase{"Depth3Streamed", 4, 3, 0},
                           RuntimeCase{"Loopback2", 4, 1, 2},
-                          RuntimeCase{"Loopback3", 4, 1, 3})),
+                          RuntimeCase{"Loopback3", 4, 1, 3},
+                          RuntimeCase{"Depth3Loopback2", 4, 3, 2},
+                          RuntimeCase{"Depth3Loopback3", 4, 3, 3})),
     [](const auto &info) {
         return std::string(std::get<0>(info.param).name) + "_" +
             std::get<1>(info.param).name;

@@ -459,8 +459,9 @@ run_rounds(FlSystem &fl, uint64_t first, uint64_t last)
  * the artifact at round R, build a fresh system resuming from it, run
  * the remaining rounds, and the final weights must be bit-identical
  * to the uninterrupted run. Holds for every runtime whose rounds
- * commit in a single batch (Sync; SemiAsync S=0 classic and pipelined),
- * and the uninterrupted run itself must be the reference barrier's.
+ * commit in a single batch (Sync; SemiAsync S=0 drained, pipelined or
+ * over the cluster), and the uninterrupted run itself must be the
+ * reference barrier's.
  */
 void
 expect_bit_exact_resume(FlSystemConfig cfg, const std::string &tag)
@@ -521,6 +522,16 @@ TEST(CrashResume, PipelinedSemiAsyncS0BitExact)
     // restore, bit-identical final weights. Depth 3 keeps rounds
     // overlapping while S=0 keeps each round single-batch.
     expect_bit_exact_resume(small_job(3, 0), "pipelined_s0");
+}
+
+TEST(CrashResume, LoopbackSemiAsyncS0BitExact)
+{
+    // The cluster's checkpoints come from PsServer's retirement hook
+    // like every other transport's, so a cluster run resumes bit-exact.
+    FlSystemConfig cfg = small_job(1, 0);
+    cfg.ps.net.listen = "loopback";
+    cfg.ps.net.workers = 2;
+    expect_bit_exact_resume(cfg, "loopback_s0");
 }
 
 TEST(CrashResume, ResumeRejectsWrongModelArtifact)
