@@ -52,6 +52,7 @@ struct KernelParity
     ParityTier elementwise = ParityTier::Exact;
     ParityTier codec = ParityTier::Exact;
     ParityTier transcendental = ParityTier::Exact;
+    ParityTier dwconv = ParityTier::Exact;
 };
 
 /** Widest variant this CPU (and this binary) supports. */

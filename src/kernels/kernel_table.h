@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "kernels/arch.h"
+#include "kernels/kernels.h"
 
 namespace autofl::kernels {
 
@@ -112,6 +113,16 @@ struct KernelTable
                             float *out) = nullptr;
     void (*apply_step_f64)(size_t n, float *w, double tau,
                            const double *dir) = nullptr;
+
+    // Depthwise convolution family (dwconv_body.h instantiated over
+    // this table's GEMM lane count, so it reproduces the table's own
+    // direct GEMM bits).
+    void (*dwconv_forward)(const DwConvShape &s, const float *x,
+                           const float *w, const float *bias,
+                           float *y) = nullptr;
+    void (*dwconv_backward)(const DwConvShape &s, const float *x,
+                            const float *w, const float *dy, float *dx,
+                            float *dw) = nullptr;
 
     // What this variant promises relative to the scalar baseline, per
     // kernel family. tests/test_kernels.cc reads these to decide

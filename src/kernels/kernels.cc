@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <vector>
 
+#include "kernels/dwconv_body.h"
 #include "kernels/kernel_table.h"
 
 namespace autofl::kernels {
@@ -654,6 +656,8 @@ make_scalar_table()
         k.lstm_gate_forward = scalar_lstm_gate;
         k.lstm_gate_backward = scalar_lstm_gate_backward;
         k.lstm_gate_infer = scalar_lstm_gate;
+        k.dwconv_forward = dwconv::forward<dwconv::ScalarLanes>;
+        k.dwconv_backward = dwconv::backward<dwconv::ScalarLanes>;
         // No gemm_micro: the scalar direct loops ARE the bit-exactness
         // baseline, so the scalar table has no packed path by design.
         // Parity tiers: all Exact (this table defines the baseline).
@@ -1085,7 +1089,40 @@ lstm_gate_backward(int batch, int hidden, const float *z, const float *cprev,
                                            dc, dz, dc_prev);
 }
 
+// ------------------------------------------- depthwise convolution
+
+void
+dwconv_forward(const DwConvShape &s, const float *x, const float *w,
+               const float *bias, float *y)
+{
+    pick(&KernelTable::dwconv_forward)(s, x, w, bias, y);
+}
+
+void
+dwconv_backward(const DwConvShape &s, const float *x, const float *w,
+                const float *dy, float *dx, float *dw)
+{
+    pick(&KernelTable::dwconv_backward)(s, x, w, dy, dx, dw);
+}
+
 // --------------------------------------------------- im2col / col2im
+
+namespace {
+
+/**
+ * Outputs [*lo, *hi) of a dimension of @p out whose input index
+ * o * stride + off falls inside [0, in); the rest read padding.
+ */
+inline void
+tap_range(int out, int in, int off, int stride, int *lo, int *hi)
+{
+    const int l = off >= 0 ? 0 : (-off + stride - 1) / stride;
+    const int h = off > in - 1 ? 0 : (in - 1 - off) / stride + 1;
+    *lo = std::min(l, out);
+    *hi = std::max(*lo, std::min(h, out));
+}
+
+} // namespace
 
 void
 im2col(const float *x, int channels, int ih, int iw, int k, int stride,
@@ -1097,40 +1134,59 @@ im2col(const float *x, int channels, int ih, int iw, int k, int stride,
     for (int c = 0; c < channels; ++c) {
         const float *xc = x + static_cast<size_t>(c) * ih * iw;
         for (int ky = 0; ky < k; ++ky) {
+            int y0, y1;
+            tap_range(oh, ih, ky - pad, stride, &y0, &y1);
             for (int kx = 0; kx < k; ++kx) {
+                int x0, x1;
+                tap_range(ow, iw, kx - pad, stride, &x0, &x1);
                 float *crow =
                     col + ((static_cast<size_t>(c) * k + ky) * k + kx) *
                               ospatial;
-                for (int oy = 0; oy < oh; ++oy) {
-                    const int y_in = oy * stride + ky - pad;
+                // Output rows whose tap row lies in the padding.
+                std::memset(crow, 0,
+                            sizeof(float) * static_cast<size_t>(y0) * ow);
+                std::memset(crow + static_cast<size_t>(y1) * ow, 0,
+                            sizeof(float) * static_cast<size_t>(oh - y1) *
+                                ow);
+                if (x0 == x1) {
+                    std::memset(crow + static_cast<size_t>(y0) * ow, 0,
+                                sizeof(float) *
+                                    static_cast<size_t>(y1 - y0) * ow);
+                    continue;
+                }
+                const int xoff = kx - pad;
+                if (stride == 1 && ow == iw && y1 > y0) {
+                    // Same-size stride-1 conv: output index j reads input
+                    // index j + shift, so the valid block is one shifted
+                    // run; the edge columns it wrapped over are padding.
+                    const ptrdiff_t shift =
+                        static_cast<ptrdiff_t>(ky - pad) * iw + xoff;
+                    const size_t first = static_cast<size_t>(y0) * ow + x0;
+                    const size_t last =
+                        static_cast<size_t>(y1 - 1) * ow + x1;
+                    std::memcpy(crow + first, xc + first + shift,
+                                sizeof(float) * (last - first));
+                    for (int oy = y0; oy < y1; ++oy) {
+                        float *orow = crow + static_cast<size_t>(oy) * ow;
+                        std::fill(orow, orow + x0, 0.0f);
+                        std::fill(orow + x1, orow + ow, 0.0f);
+                    }
+                    continue;
+                }
+                for (int oy = y0; oy < y1; ++oy) {
+                    const float *xrow =
+                        xc + static_cast<size_t>(oy * stride + ky - pad) * iw;
                     float *orow = crow + static_cast<size_t>(oy) * ow;
-                    if (y_in < 0 || y_in >= ih) {
-                        std::memset(orow, 0,
-                                    sizeof(float) * static_cast<size_t>(ow));
-                        continue;
-                    }
-                    const float *xrow = xc + static_cast<size_t>(y_in) * iw;
-                    const int x0 = kx - pad;  // x_in at ox = 0.
+                    std::fill(orow, orow + x0, 0.0f);
                     if (stride == 1) {
-                        // Contiguous tap run with zero fill at the edges.
-                        const int lo = std::max(0, -x0);
-                        const int hi = std::min(ow, iw - x0);
-                        for (int ox = 0; ox < lo; ++ox)
-                            orow[ox] = 0.0f;
-                        if (hi > lo)
-                            std::memcpy(orow + lo, xrow + x0 + lo,
-                                        sizeof(float) *
-                                            static_cast<size_t>(hi - lo));
-                        for (int ox = std::max(lo, hi); ox < ow; ++ox)
-                            orow[ox] = 0.0f;
+                        std::memcpy(orow + x0, xrow + x0 + xoff,
+                                    sizeof(float) *
+                                        static_cast<size_t>(x1 - x0));
                     } else {
-                        for (int ox = 0; ox < ow; ++ox) {
-                            const int x_in = x0 + ox * stride;
-                            orow[ox] = (x_in < 0 || x_in >= iw)
-                                           ? 0.0f
-                                           : xrow[x_in];
-                        }
+                        for (int ox = x0; ox < x1; ++ox)
+                            orow[ox] = xrow[ox * stride + xoff];
                     }
+                    std::fill(orow + x1, orow + ow, 0.0f);
                 }
             }
         }
@@ -1147,20 +1203,25 @@ col2im_add(const float *col, int channels, int ih, int iw, int k, int stride,
     for (int c = 0; c < channels; ++c) {
         float *xc = x + static_cast<size_t>(c) * ih * iw;
         for (int ky = 0; ky < k; ++ky) {
+            int y0, y1;
+            tap_range(oh, ih, ky - pad, stride, &y0, &y1);
             for (int kx = 0; kx < k; ++kx) {
+                int x0, x1;
+                tap_range(ow, iw, kx - pad, stride, &x0, &x1);
                 const float *crow =
                     col + ((static_cast<size_t>(c) * k + ky) * k + kx) *
                               ospatial;
-                for (int oy = 0; oy < oh; ++oy) {
-                    const int y_in = oy * stride + ky - pad;
-                    if (y_in < 0 || y_in >= ih)
-                        continue;
-                    float *xrow = xc + static_cast<size_t>(y_in) * iw;
+                const int xoff = kx - pad;
+                for (int oy = y0; oy < y1; ++oy) {
+                    float *xrow =
+                        xc + static_cast<size_t>(oy * stride + ky - pad) * iw;
                     const float *orow = crow + static_cast<size_t>(oy) * ow;
-                    for (int ox = 0; ox < ow; ++ox) {
-                        const int x_in = kx - pad + ox * stride;
-                        if (x_in >= 0 && x_in < iw)
-                            xrow[x_in] += orow[ox];
+                    if (stride == 1) {
+                        for (int ox = x0; ox < x1; ++ox)
+                            xrow[ox + xoff] += orow[ox];
+                    } else {
+                        for (int ox = x0; ox < x1; ++ox)
+                            xrow[ox * stride + xoff] += orow[ox];
                     }
                 }
             }

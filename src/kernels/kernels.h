@@ -290,6 +290,41 @@ void im2col(const float *x, int channels, int ih, int iw, int k, int stride,
 void col2im_add(const float *col, int channels, int ih, int iw, int k,
                 int stride, int pad, float *x);
 
+// ------------------------------------------ depthwise convolution
+// Convolutions with one input channel per group (depthwise, at any
+// channel multiplier) as a direct stencil: no column buffer, no GEMM.
+// On each table the result is bit-identical to what the im2col +
+// direct-GEMM + col2im_add path computes for that table (see
+// dwconv_body.h for the per-element operation order); across tables
+// the family sits in the GEMM's tolerance tier (kernel_parity().dwconv).
+
+/** Geometry of one sample of a depthwise convolution. */
+struct DwConvShape
+{
+    int channels;  ///< Input planes (= groups).
+    int mult;      ///< Output planes per input plane.
+    int ih, iw;    ///< Input plane size.
+    int k, stride, pad;
+};
+
+/**
+ * y {channels * mult, oh, ow} = bias + x {channels, ih, iw} (*) w
+ * {channels * mult, k, k}; output plane c * mult + m reads input
+ * plane c. y is overwritten.
+ */
+void dwconv_forward(const DwConvShape &s, const float *x, const float *w,
+                    const float *bias, float *y);
+
+/**
+ * Backward of dwconv_forward for one sample: dx {channels, ih, iw} is
+ * overwritten, dw {channels * mult, k, k} is accumulated into (each
+ * weight gets one add per call). The bias gradient is the caller's
+ * per-plane sum of dy. Bit-identical to the GEMM path for finite
+ * weights.
+ */
+void dwconv_backward(const DwConvShape &s, const float *x, const float *w,
+                     const float *dy, float *dx, float *dw);
+
 } // namespace autofl::kernels
 
 #endif // AUTOFL_KERNELS_KERNELS_H

@@ -23,6 +23,8 @@
 
 #include <immintrin.h>
 
+#include "kernels/dwconv_body.h"
+
 namespace autofl::kernels {
 
 namespace {
@@ -347,6 +349,20 @@ avx2_gemm_nt(int m, int n, int k, const float *a, int lda, const float *b,
         }
     }
 }
+
+// ------------------------------------------- depthwise convolution
+
+/** The direct GEMM's 8 lanes, its FMA and its hsum tree. */
+struct Avx2Lanes
+{
+    static constexpr int L = 8;
+    using V = __m256;
+    static V zero() { return _mm256_setzero_ps(); }
+    static V load(const float *p) { return _mm256_loadu_ps(p); }
+    static void store(float *p, V v) { _mm256_storeu_ps(p, v); }
+    static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+    static float hsum(V v) { return autofl::kernels::hsum(v); }
+};
 
 // --------------------------------------------- elementwise (no FMA)
 
@@ -979,11 +995,14 @@ avx2_kernel_table()
         k.lstm_gate_forward = avx2_lstm_gate_forward;
         k.lstm_gate_infer = avx2_lstm_gate_infer;
         k.lstm_gate_backward = avx2_lstm_gate_backward;
+        k.dwconv_forward = dwconv::forward<Avx2Lanes>;
+        k.dwconv_backward = dwconv::backward<Avx2Lanes>;
         k.parity_tier = KernelParity{
             .gemm = ParityTier::Tolerance,
             .elementwise = ParityTier::Exact,
             .codec = ParityTier::Exact,
             .transcendental = ParityTier::Tolerance,
+            .dwconv = ParityTier::Tolerance,
         };
         return k;
     }();

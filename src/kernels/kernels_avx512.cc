@@ -306,6 +306,7 @@ avx512_kernel_table()
             .elementwise = ParityTier::Exact,
             .codec = ParityTier::Exact,
             .transcendental = ParityTier::Tolerance,
+            .dwconv = ParityTier::Tolerance,
         };
         return k;
     }();

@@ -22,6 +22,8 @@
 
 #include <arm_neon.h>
 
+#include "kernels/dwconv_body.h"
+
 namespace autofl::kernels {
 
 namespace {
@@ -254,6 +256,20 @@ neon_micro_8x8(int kc, const float *ap, const float *bp, float *c, int ldc,
     vst1q_f32(c + 7 * static_cast<size_t>(ldc), c70);
     vst1q_f32(c + 7 * static_cast<size_t>(ldc) + 4, c71);
 }
+
+// ------------------------------------------- depthwise convolution
+
+/** The direct GEMM's 4 lanes, its FMA and its hsum tree. */
+struct NeonLanes
+{
+    static constexpr int L = 4;
+    using V = float32x4_t;
+    static V zero() { return vdupq_n_f32(0.0f); }
+    static V load(const float *p) { return vld1q_f32(p); }
+    static void store(float *p, V v) { vst1q_f32(p, v); }
+    static V fma(V a, V b, V c) { return vfmaq_f32(c, a, b); }
+    static float hsum(V v) { return hsum4(v); }
+};
 
 // --------------------------------------------- elementwise (no FMA)
 // Separate vmulq/vaddq keep one rounding per operation in the scalar
@@ -674,11 +690,14 @@ neon_kernel_table()
         k.lstm_gate_forward = neon_lstm_gate;
         k.lstm_gate_infer = neon_lstm_gate;
         k.lstm_gate_backward = neon_lstm_gate_backward;
+        k.dwconv_forward = dwconv::forward<NeonLanes>;
+        k.dwconv_backward = dwconv::backward<NeonLanes>;
         k.parity_tier = KernelParity{
             .gemm = ParityTier::Tolerance,
             .elementwise = ParityTier::Exact,
             .codec = ParityTier::Exact,
             .transcendental = ParityTier::Tolerance,
+            .dwconv = ParityTier::Tolerance,
         };
         return k;
     }();

@@ -44,14 +44,14 @@ Conv2D::infer(Tensor x)
 {
     assert(x.rank() == 4 && x.dim(1) == in_ch_);
     const int batch = x.dim(0);
-    // Grouped (depthwise) convolutions stay per-sample: their GEMMs
-    // are so small (depthwise M = 1, K = k*k) that gathering a wide
-    // column buffer costs more than the GEMM saves. Pointwise convs
-    // skip the wide gather too: convolve() needs no unfold for them
-    // and packs W's panels once for the whole batch, so the gather
-    // and the output un-scatter would add the only copies in the
-    // pipeline (the MobileNet batched-throughput regression came from
-    // exactly those copies).
+    // Grouped convolutions stay per-sample: depthwise ones run the
+    // direct stencil, and the other grouped GEMMs are so small that
+    // gathering a wide column buffer costs more than the GEMM saves.
+    // Pointwise convs skip the wide gather too: convolve() needs no
+    // unfold for them and packs W's panels once for the whole batch,
+    // so the gather and the output un-scatter would add the only
+    // copies in the pipeline (the MobileNet batched-throughput
+    // regression came from exactly those copies).
     if (batch == 1 || groups_ > 1 || pointwise())
         return convolve(x);
 
@@ -108,6 +108,13 @@ Conv2D::infer(Tensor x)
     return y;
 }
 
+kernels::DwConvShape
+Conv2D::dw_shape(int ih, int iw) const
+{
+    return kernels::DwConvShape{in_ch_, out_ch_ / groups_, ih, iw, k_,
+                                stride_, pad_};
+}
+
 Tensor
 Conv2D::convolve(const Tensor &xin)
 {
@@ -117,6 +124,16 @@ Conv2D::convolve(const Tensor &xin)
     const int patch = icg * k_ * k_;
     const int ospatial = oh * ow;
     Tensor y({batch, out_ch_, oh, ow});
+
+    if (depthwise()) {
+        const kernels::DwConvShape s = dw_shape(ih, iw);
+        for (int n = 0; n < batch; ++n)
+            kernels::dwconv_forward(
+                s, xin.data() + static_cast<size_t>(n) * in_ch_ * ih * iw,
+                w_.data(), b_.data(),
+                y.data() + static_cast<size_t>(n) * out_ch_ * ospatial);
+        return y;
+    }
 
     if (!pointwise())
         col_.resize(static_cast<size_t>(patch) * ospatial);
@@ -176,6 +193,19 @@ Conv2D::backward(const Tensor &grad_out)
            grad_out.dim(3) == ow);
     Tensor dx({batch, in_ch_, ih, iw});
 
+    if (depthwise()) {
+        const kernels::DwConvShape s = dw_shape(ih, iw);
+        for (int n = 0; n < batch; ++n) {
+            const float *dyn =
+                grad_out.data() + static_cast<size_t>(n) * out_ch_ * ospatial;
+            accumulate_db(dyn, ospatial);
+            const size_t xo = static_cast<size_t>(n) * in_ch_ * ih * iw;
+            kernels::dwconv_backward(s, x.data() + xo, w_.data(), dyn,
+                                     dx.data() + xo, dw_.data());
+        }
+        return dx;
+    }
+
     if (!pointwise()) {
         col_.resize(static_cast<size_t>(patch) * ospatial);
         dcol_.resize(static_cast<size_t>(patch) * ospatial);
@@ -190,18 +220,12 @@ Conv2D::backward(const Tensor &grad_out)
                                    /*a_transposed=*/true);
 
     for (int n = 0; n < batch; ++n) {
+        accumulate_db(grad_out.data() +
+                          static_cast<size_t>(n) * out_ch_ * ospatial,
+                      ospatial);
         for (int g = 0; g < groups_; ++g) {
             const float *dyg = grad_out.data() +
                 (static_cast<size_t>(n) * out_ch_ + g * ocg) * ospatial;
-            // db: per-channel sums of the output gradient, accumulated
-            // in ascending spatial order like the direct loops.
-            for (int ocl = 0; ocl < ocg; ++ocl) {
-                const float *dyrow =
-                    dyg + static_cast<size_t>(ocl) * ospatial;
-                float &db = db_[static_cast<size_t>(g * ocg + ocl)];
-                for (int i = 0; i < ospatial; ++i)
-                    db += dyrow[i];
-            }
             const float *xg = x.data() +
                 (static_cast<size_t>(n) * in_ch_ + g * icg) * ih * iw;
             const float *col = xg;
@@ -232,6 +256,19 @@ Conv2D::backward(const Tensor &grad_out)
         }
     }
     return dx;
+}
+
+void
+Conv2D::accumulate_db(const float *dy, int ospatial)
+{
+    // Per-channel sums of one sample's output gradient, accumulated in
+    // ascending spatial order like the direct loops.
+    for (int oc = 0; oc < out_ch_; ++oc) {
+        const float *dyrow = dy + static_cast<size_t>(oc) * ospatial;
+        float &db = db_[static_cast<size_t>(oc)];
+        for (int i = 0; i < ospatial; ++i)
+            db += dyrow[i];
+    }
 }
 
 std::vector<int>

@@ -1,17 +1,24 @@
 /**
  * @file
- * 2-D convolution with stride, zero padding and channel groups,
- * computed as im2col + GEMM through the kernel-dispatch backend.
+ * 2-D convolution with stride, zero padding and channel groups through
+ * the kernel-dispatch backend. Which path a shape takes:
  *
- * Groups support both regular convolution (groups = 1) and the depthwise
- * convolutions used by the MobileNet-style model (groups = in_channels).
- * Per (sample, group) the forward pass unfolds the input into a column
- * buffer and runs one GEMM against the {out_ch/g, in_ch/g * k * k}
- * weight view (bias pre-filled, GEMM accumulating on top — the same
- * reduction order as the original direct loops). 1x1/stride-1/no-pad
- * convolutions skip the unfold and multiply the input directly.
- * Backward recomputes the column buffer (cheaper than caching the k^2x
- * blow-up) for dW and folds the W^T dy product back with col2im.
+ *  - one input channel per group (in_ch == groups: depthwise at any
+ *    channel multiplier, which includes a single-channel ungrouped
+ *    input) runs the direct stencil kernels::dwconv_forward/backward
+ *    per sample: no column buffer and no GEMM, and on each kernel
+ *    table the same bits the im2col + direct GEMM path produced;
+ *  - 1x1/stride-1/no-pad convolutions multiply the input directly;
+ *  - every other shape unfolds each (sample, group) with im2col and
+ *    runs one GEMM against the {out_ch/g, in_ch/g * k * k} weight view
+ *    (bias pre-filled, GEMM accumulating on top: the same reduction
+ *    order as the original direct loops). Backward recomputes the
+ *    column buffer (cheaper than caching the k^2x blow-up) for dW and
+ *    folds the W^T dy product back with col2im_add.
+ *
+ * Ungrouped layers pack W once per batch; batched inference of an
+ * ungrouped, non-pointwise, non-depthwise layer gathers the whole batch
+ * into one wide GEMM.
  */
 #ifndef AUTOFL_NN_CONV2D_H
 #define AUTOFL_NN_CONV2D_H
@@ -59,8 +66,17 @@ class Conv2D : public Layer
     AlignedFloatVec colw_;  ///< Batch-wide column buffer (infer only).
     AlignedFloatVec outw_;  ///< Batch-wide output buffer (infer only).
 
-    /** Shared im2col + GEMM body of forward() and infer(batch == 1). */
+    /** Shared per-sample body of forward() and infer(). */
     Tensor convolve(const Tensor &xin);
+
+    /** db += per-channel sums of one sample's dy {out_ch, ospatial}. */
+    void accumulate_db(const float *dy, int ospatial);
+
+    /** One input channel per group: the direct stencil path. */
+    bool depthwise() const { return groups_ > 1 && in_ch_ == groups_; }
+
+    /** The stencil kernels' geometry for an ih x iw input. */
+    kernels::DwConvShape dw_shape(int ih, int iw) const;
 
     /** Whether im2col is the identity (pointwise convolution). */
     bool pointwise() const

@@ -1,6 +1,7 @@
 #include "ps_server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -115,8 +116,11 @@ PsServer::PsServer(Server &server, Workload workload,
     : server_(server), params_(params), hyper_(hyper), alg_(alg),
       seed_(seed), cfg_(cfg),
       store_(server.global_weights(), cfg.shards),
-      exec_(cfg.executor_threads > 0 ? cfg.executor_threads :
-                                       default_threads),
+      // A launch step sends every job elsewhere: no training pool.
+      exec_(launch ? nullptr
+                   : std::make_unique<PsExecutor>(
+                         cfg.executor_threads > 0 ? cfg.executor_threads
+                                                  : default_threads)),
       agg_(store_, alg, cfg),
       streaming_(cfg.mode != SyncMode::Sync && cfg.pipeline_depth > 1),
       ckpt_(ckpt), eval_exec_(std::max(1, cfg.eval_workers)),
@@ -128,9 +132,11 @@ PsServer::PsServer(Server &server, Workload workload,
                              launch_local(round, jobs, base);
                          })
 {
-    trainers_.reserve(static_cast<size_t>(exec_.threads()));
-    for (int t = 0; t < exec_.threads(); ++t)
-        trainers_.push_back(std::make_unique<LocalTrainer>(workload));
+    if (exec_) {
+        trainers_.reserve(static_cast<size_t>(exec_->threads()));
+        for (int t = 0; t < exec_->threads(); ++t)
+            trainers_.push_back(std::make_unique<LocalTrainer>(workload));
+    }
 
     if (ckpt_) {
         // The one persistence point: retirement. The hook shares the
@@ -180,7 +186,7 @@ PsServer::launch_local(uint64_t round, const std::vector<PsRoundJob> &jobs,
 {
     for (uint64_t seq = 0; seq < jobs.size(); ++seq) {
         const PsRoundJob job = jobs[seq];
-        exec_.submit([this, job, seq, round, w = base.weights](int worker) {
+        exec_->submit([this, job, seq, round, w = base.weights](int worker) {
             agg_.push(round,
                       PsPush{train_job(worker, job, seq, *w, round), seq});
         });
@@ -202,15 +208,18 @@ PsServer::run_drained(const std::vector<PsRoundJob> &jobs, uint64_t round,
     // Server holds them); the Server averages them into the estimate
     // each training job's correction term uses.
     if (server_.wants_full_gradients()) {
+        // In-process only (FlSystemConfig::validate refuses FEDL over
+        // the net), so the training pool exists.
+        assert(exec_);
         fedl_grads_.assign(jobs.size(), {});
         for (size_t i = 0; i < jobs.size(); ++i) {
-            exec_.submit([this, &jobs, i](int worker) {
+            exec_->submit([this, &jobs, i](int worker) {
                 fedl_grads_[i] =
                     trainers_[static_cast<size_t>(worker)]->full_gradient(
                         server_.global_weights(), *jobs[i].shard);
             });
         }
-        exec_.wait_idle();
+        exec_->wait_idle();
         server_.update_global_gradient(fedl_grads_);
     }
 

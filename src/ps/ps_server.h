@@ -43,7 +43,8 @@ class PsServer
      * @param ckpt Snapshot persistence writer, or null. Not owned; must
      *        outlive this object, since ~PsServer drains the pipeline
      *        whose retirement hook requests into it.
-     * @param launch Where jobs run; null for the executor pool.
+     * @param launch Where jobs run; null for the executor pool, which
+     *        (with its trainers) is then the only one built.
      */
     PsServer(Server &server, Workload workload, const FlGlobalParams &params,
              const TrainHyper &hyper, Algorithm alg, uint64_t seed,
@@ -108,9 +109,11 @@ class PsServer
     uint64_t seed_;
     PsConfig cfg_;
     ShardedStore store_;
-    PsExecutor exec_;
+    /** Training pool and its per-worker trainers; null/empty when a
+     *  launch step runs the jobs. */
+    std::unique_ptr<PsExecutor> exec_;
     AsyncAggregator agg_;
-    std::vector<std::unique_ptr<LocalTrainer>> trainers_;  ///< Per worker.
+    std::vector<std::unique_ptr<LocalTrainer>> trainers_;
     ErrorFeedback error_feedback_;   ///< Push-compression residuals.
     std::atomic<uint64_t> push_payload_bytes_{0};
     bool streaming_;

@@ -69,7 +69,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 4, 4, 5, 3, 1, 1, 4},   // depthwise
                       ConvCase{1, 4, 8, 4, 1, 1, 0, 1},   // pointwise
                       ConvCase{2, 6, 6, 5, 3, 1, 1, 2},   // grouped
-                      ConvCase{1, 1, 1, 7, 5, 2, 2, 1}));
+                      ConvCase{1, 1, 1, 7, 5, 2, 2, 1},
+                      ConvCase{2, 8, 8, 6, 3, 1, 1, 8},   // MobileNet dw
+                      ConvCase{2, 6, 6, 9, 3, 2, 1, 6},   // strided dw
+                      ConvCase{1, 4, 8, 7, 3, 2, 1, 4})); // multiplier 2
 
 struct PoolCase
 {

@@ -9,6 +9,7 @@
  * ALL variants; GEMM/conv variants agree within 1e-4 relative.
  */
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -312,7 +313,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvShape{1, 4, 8, 8, 1, 1, 0, 1},   // pointwise
                       ConvShape{2, 4, 4, 7, 3, 1, 1, 4},   // depthwise
                       ConvShape{1, 6, 6, 10, 3, 2, 1, 2},  // strided group
-                      ConvShape{3, 1, 2, 12, 5, 2, 2, 1}));
+                      ConvShape{3, 1, 2, 12, 5, 2, 2, 1},
+                      ConvShape{2, 8, 8, 6, 3, 1, 1, 8},   // MobileNet dw
+                      ConvShape{2, 6, 6, 9, 3, 2, 1, 6},   // strided dw
+                      ConvShape{1, 4, 8, 7, 3, 2, 1, 4})); // multiplier 2
 
 /** LSTM forward/backward agree across variants within tolerance. */
 TEST(LstmParity, ForwardBackwardParity)
@@ -376,6 +380,279 @@ TEST(Im2Col, PaddingIsZero)
     EXPECT_EQ(col[0], 0.0f);
     // Center tap (ky=1, kx=1) at output (0,0) is x[0,0]: no padding.
     EXPECT_EQ(col[(1 * 3 + 1) * 9 + 0], x[0]);
+}
+
+/** The original im2col: per-row bounds tests and memcpy runs. */
+void
+ref_im2col(const float *x, int channels, int ih, int iw, int k, int stride,
+           int pad, float *col)
+{
+    const int oh = kernels::conv_out_size(ih, k, stride, pad);
+    const int ow = kernels::conv_out_size(iw, k, stride, pad);
+    const size_t ospatial = static_cast<size_t>(oh) * ow;
+    for (int c = 0; c < channels; ++c) {
+        const float *xc = x + static_cast<size_t>(c) * ih * iw;
+        for (int ky = 0; ky < k; ++ky) {
+            for (int kx = 0; kx < k; ++kx) {
+                float *crow =
+                    col + ((static_cast<size_t>(c) * k + ky) * k + kx) *
+                              ospatial;
+                for (int oy = 0; oy < oh; ++oy) {
+                    const int y_in = oy * stride + ky - pad;
+                    float *orow = crow + static_cast<size_t>(oy) * ow;
+                    for (int ox = 0; ox < ow; ++ox) {
+                        const int x_in = ox * stride + kx - pad;
+                        orow[ox] = (y_in < 0 || y_in >= ih || x_in < 0 ||
+                                    x_in >= iw)
+                                       ? 0.0f
+                                       : xc[static_cast<size_t>(y_in) * iw +
+                                            x_in];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** The original col2im_add: a bounds test per element. */
+void
+ref_col2im_add(const float *col, int channels, int ih, int iw, int k,
+               int stride, int pad, float *x)
+{
+    const int oh = kernels::conv_out_size(ih, k, stride, pad);
+    const int ow = kernels::conv_out_size(iw, k, stride, pad);
+    const size_t ospatial = static_cast<size_t>(oh) * ow;
+    for (int c = 0; c < channels; ++c) {
+        float *xc = x + static_cast<size_t>(c) * ih * iw;
+        for (int ky = 0; ky < k; ++ky) {
+            for (int kx = 0; kx < k; ++kx) {
+                const float *crow =
+                    col + ((static_cast<size_t>(c) * k + ky) * k + kx) *
+                              ospatial;
+                for (int oy = 0; oy < oh; ++oy) {
+                    const int y_in = oy * stride + ky - pad;
+                    if (y_in < 0 || y_in >= ih)
+                        continue;
+                    for (int ox = 0; ox < ow; ++ox) {
+                        const int x_in = kx - pad + ox * stride;
+                        if (x_in >= 0 && x_in < iw)
+                            xc[static_cast<size_t>(y_in) * iw + x_in] +=
+                                crow[static_cast<size_t>(oy) * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+}
+
+bool
+same_bytes(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+/** Whole-plane im2col/col2im_add move exactly what the old loops moved. */
+TEST(Im2Col, WholePlaneMatchesPerElementLoops)
+{
+    Rng rng(55);
+    for (int ch : {1, 3}) {
+        for (int ih : {1, 3, 5, 12}) {
+            for (int iw : {2, 7, 12}) {
+                for (int k : {1, 2, 3, 5}) {
+                    for (int stride : {1, 2, 3}) {
+                        for (int pad : {0, 1, 2}) {
+                            if (ih + 2 * pad < k || iw + 2 * pad < k)
+                                continue;
+                            const int oh = kernels::conv_out_size(ih, k,
+                                                                  stride, pad);
+                            const int ow = kernels::conv_out_size(iw, k,
+                                                                  stride, pad);
+                            const size_t ncol = static_cast<size_t>(ch) * k *
+                                k * oh * ow;
+                            const auto x = random_vec(
+                                static_cast<size_t>(ch) * ih * iw, rng);
+                            std::vector<float> ref(ncol, -7.0f),
+                                got(ncol, 7.0f);
+                            ref_im2col(x.data(), ch, ih, iw, k, stride, pad,
+                                       ref.data());
+                            kernels::im2col(x.data(), ch, ih, iw, k, stride,
+                                            pad, got.data());
+                            EXPECT_TRUE(same_bytes(ref, got))
+                                << "im2col ch=" << ch << " " << ih << "x"
+                                << iw << " k=" << k << " s=" << stride
+                                << " p=" << pad;
+                            const auto col = random_vec(ncol, rng);
+                            std::vector<float> xr = x, xg = x;
+                            ref_col2im_add(col.data(), ch, ih, iw, k, stride,
+                                           pad, xr.data());
+                            kernels::col2im_add(col.data(), ch, ih, iw, k,
+                                                stride, pad, xg.data());
+                            EXPECT_TRUE(same_bytes(xr, xg))
+                                << "col2im ch=" << ch << " " << ih << "x"
+                                << iw << " k=" << k << " s=" << stride
+                                << " p=" << pad;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+struct DwCase
+{
+    int batch, channels, mult, ih, iw, k, stride, pad;
+};
+
+/**
+ * The path convolutions with one input channel per group took before
+ * the stencil kernel: per (sample, group) the original im2col, the
+ * table's direct GEMM on top of the bias, gemm_nt for dW, gemm_tn and
+ * the original col2im_add for dx. Returns y, then per backward call
+ * dx, dW and db (dW and db accumulate across calls, as in Conv2D).
+ */
+std::vector<float>
+dw_reference(const DwCase &c, const std::vector<float> &x,
+             const std::vector<float> &w, const std::vector<float> &b,
+             const std::vector<float> &dy, int backward_calls)
+{
+    const kernels::GemmPath saved =
+        kernels::set_gemm_path(kernels::GemmPath::Direct);
+    const int oh = kernels::conv_out_size(c.ih, c.k, c.stride, c.pad);
+    const int ow = kernels::conv_out_size(c.iw, c.k, c.stride, c.pad);
+    const int osp = oh * ow, kk = c.k * c.k, oc = c.channels * c.mult;
+    const size_t plane = static_cast<size_t>(c.ih) * c.iw;
+    std::vector<float> col(static_cast<size_t>(kk) * osp),
+        dcol(col.size());
+    std::vector<float> y(static_cast<size_t>(c.batch) * oc * osp);
+    for (int n = 0; n < c.batch; ++n) {
+        for (int g = 0; g < c.channels; ++g) {
+            ref_im2col(x.data() + (static_cast<size_t>(n) * c.channels + g) *
+                           plane,
+                       1, c.ih, c.iw, c.k, c.stride, c.pad, col.data());
+            float *yg = y.data() +
+                (static_cast<size_t>(n) * oc + g * c.mult) * osp;
+            for (int m = 0; m < c.mult; ++m)
+                std::fill(yg + static_cast<size_t>(m) * osp,
+                          yg + static_cast<size_t>(m + 1) * osp,
+                          b[static_cast<size_t>(g * c.mult + m)]);
+            kernels::gemm(c.mult, osp, kk,
+                          w.data() + static_cast<size_t>(g) * c.mult * kk, kk,
+                          col.data(), osp, yg, osp, /*accumulate=*/true);
+        }
+    }
+    std::vector<float> out = y;
+    std::vector<float> dw(w.size(), 0.0f), db(b.size(), 0.0f);
+    for (int call = 0; call < backward_calls; ++call) {
+        std::vector<float> dx(x.size(), 0.0f);
+        for (int n = 0; n < c.batch; ++n) {
+            for (int g = 0; g < c.channels; ++g) {
+                const float *dyg = dy.data() +
+                    (static_cast<size_t>(n) * oc + g * c.mult) * osp;
+                for (int m = 0; m < c.mult; ++m)
+                    for (int i = 0; i < osp; ++i)
+                        db[static_cast<size_t>(g * c.mult + m)] +=
+                            dyg[static_cast<size_t>(m) * osp + i];
+                const size_t xo =
+                    (static_cast<size_t>(n) * c.channels + g) * plane;
+                ref_im2col(x.data() + xo, 1, c.ih, c.iw, c.k, c.stride,
+                           c.pad, col.data());
+                const float *wg =
+                    w.data() + static_cast<size_t>(g) * c.mult * kk;
+                kernels::gemm_nt(c.mult, kk, osp, dyg, osp, col.data(), osp,
+                                 dw.data() +
+                                     static_cast<size_t>(g) * c.mult * kk,
+                                 kk, /*accumulate=*/true);
+                kernels::gemm_tn(kk, osp, c.mult, wg, kk, dyg, osp,
+                                 dcol.data(), osp);
+                ref_col2im_add(dcol.data(), 1, c.ih, c.iw, c.k, c.stride,
+                               c.pad, dx.data() + xo);
+            }
+        }
+        out.insert(out.end(), dx.begin(), dx.end());
+        out.insert(out.end(), dw.begin(), dw.end());
+        out.insert(out.end(), db.begin(), db.end());
+    }
+    kernels::set_gemm_path(saved);
+    return out;
+}
+
+/** Random values with exact zeros (and negative zeros) mixed in. */
+std::vector<float>
+vec_with_zeros(size_t n, Rng &rng)
+{
+    auto v = random_vec(n, rng);
+    for (size_t i = 0; i < n; i += 5)
+        v[i] = (i / 5) % 2 == 0 ? 0.0f : -0.0f;
+    return v;
+}
+
+/**
+ * Conv2D's depthwise stencil path (forward, infer, and two backward
+ * calls accumulating dW and db) equals the im2col + direct-GEMM path
+ * byte for byte on every kernel table this host runs, across plane
+ * shapes whose oh*ow leaves every tail width, kernels, strides, pads,
+ * multipliers and batches, with zero weights and zero inputs.
+ */
+TEST(DwConv, StencilMatchesIm2colGemmBytewiseOnEveryArch)
+{
+    ArchGuard guard;
+    Rng rng(56);
+    std::vector<DwCase> cases;
+    const int planes[][2] = {{12, 12}, {6, 6}, {3, 3}, {5, 7}};
+    for (const auto &p : planes)
+        for (int k : {1, 3, 5})
+            for (int stride : {1, 2})
+                for (int pad = 0; pad <= 2; ++pad)
+                    for (int mult : {1, 2})
+                        for (int batch : {1, 3})
+                            if (p[0] + 2 * pad >= k && p[1] + 2 * pad >= k)
+                                cases.push_back(DwCase{batch, 2, mult, p[0],
+                                                       p[1], k, stride, pad});
+    for (KernelArch arch : kernels::supported_kernel_archs()) {
+        kernels::set_kernel_arch(arch);
+        for (const DwCase &c : cases) {
+            const int oc = c.channels * c.mult;
+            const int oh = kernels::conv_out_size(c.ih, c.k, c.stride, c.pad);
+            const int ow = kernels::conv_out_size(c.iw, c.k, c.stride, c.pad);
+            const auto x = vec_with_zeros(
+                static_cast<size_t>(c.batch) * c.channels * c.ih * c.iw, rng);
+            const auto w =
+                vec_with_zeros(static_cast<size_t>(oc) * c.k * c.k, rng);
+            const auto b = vec_with_zeros(static_cast<size_t>(oc), rng);
+            const auto dy = vec_with_zeros(
+                static_cast<size_t>(c.batch) * oc * oh * ow, rng);
+            const auto ref = dw_reference(c, x, w, b, dy, 2);
+
+            Conv2D layer(c.channels, oc, c.k, c.stride, c.pad, c.channels);
+            std::copy(w.begin(), w.end(), layer.params()[0]->data());
+            std::copy(b.begin(), b.end(), layer.params()[1]->data());
+            layer.zero_grad();
+            const std::vector<int> shape = {c.batch, c.channels, c.ih, c.iw};
+            Tensor yi = layer.infer(Tensor(shape, x));
+            Tensor y = layer.forward(Tensor(shape, x));
+            std::vector<float> got(y.vec().begin(), y.vec().end());
+            const Tensor dyt({c.batch, oc, oh, ow}, dy);
+            for (int call = 0; call < 2; ++call) {
+                Tensor dx = layer.backward(dyt);
+                got.insert(got.end(), dx.vec().begin(), dx.vec().end());
+                for (Tensor *g : layer.grads())
+                    got.insert(got.end(), g->vec().begin(), g->vec().end());
+            }
+            const std::vector<float> yiv(yi.vec().begin(), yi.vec().end());
+            const std::vector<float> yref(ref.begin(), ref.begin() + y.size());
+            EXPECT_TRUE(same_bytes(ref, got))
+                << kernels::kernel_arch_name(arch) << " batch=" << c.batch
+                << " mult=" << c.mult << " " << c.ih << "x" << c.iw
+                << " k=" << c.k << " s=" << c.stride << " p=" << c.pad;
+            EXPECT_TRUE(same_bytes(yref, yiv))
+                << "infer " << kernels::kernel_arch_name(arch)
+                << " batch=" << c.batch << " mult=" << c.mult << " " << c.ih
+                << "x" << c.iw << " k=" << c.k << " s=" << c.stride
+                << " p=" << c.pad;
+        }
+    }
 }
 
 /** The env override is visible through the arch API. */

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <string>
@@ -1046,6 +1047,36 @@ TEST(FlCluster, LoopbackSyncMatchesReferenceBarrierBitForBit)
             ASSERT_EQ(a[i], b[i]) << "round " << round << " index " << i;
     }
     EXPECT_EQ(clustered.cluster()->server().dead_evictions(), 0u);
+}
+
+/** Threads of this process right now. */
+size_t
+process_threads()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+TEST(FlCluster, NetSystemStartsNoTrainingExecutor)
+{
+    // Under ps.net every job runs on a cluster worker, so the system
+    // builds no in-process training pool: constructing it starts
+    // exactly executor_threads fewer threads than the same system
+    // without the net (the fleet itself assembles at the first round).
+    auto started = [](FlSystemConfig cfg) {
+        cfg.ps.executor_threads = 5;
+        const size_t before = process_threads();
+        FlSystem fl(cfg);
+        return process_threads() - before;
+    };
+    FlSystemConfig local = cluster_system("loopback", 2);
+    local.ps.net = NetConfig{};
+    const size_t in_process = started(local);
+    const size_t net = started(cluster_system("loopback", 2));
+    EXPECT_EQ(in_process - net, 5u);
 }
 
 TEST(FlCluster, DeadWorkerBecomesEvictionNotHang)

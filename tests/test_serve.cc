@@ -233,28 +233,46 @@ TEST(InferenceEngine, InferMatchesForwardBitwiseOnScalar)
     }
 }
 
-TEST(InferenceEngine, InferMatchesForwardWithin1e4OnAnyArch)
+TEST(InferenceEngine, InferMatchesForwardBitwiseOnEveryArch)
 {
-    // SIMD variants may tile the batched conv GEMM differently and run
-    // the polynomial-exp gate kernel, so cross-path agreement on any
-    // arch is the kernels' 1e-4 relative contract.
-    for (Workload w : all_workloads()) {
-        Sequential a = make_model(w);
-        Sequential b = make_model(w);
-        Rng rng(11);
-        a.init_weights(rng);
-        b.set_flat_weights(a.flat_weights());
+    // On every arch this host runs, infer() reproduces forward() bit
+    // for bit, and a batch reproduces its samples inferred one at a
+    // time: the depthwise stencil is per sample, and the batched conv
+    // GEMM keeps each output element's reduction order.
+    for (kernels::KernelArch arch : kernels::supported_kernel_archs()) {
+        ScopedKernelArch scoped(arch);
+        const char *name = kernels::kernel_arch_name(arch);
+        for (Workload w : all_workloads()) {
+            Sequential a = make_model(w);
+            Sequential b = make_model(w);
+            Rng rng(11);
+            a.init_weights(rng);
+            b.set_flat_weights(a.flat_weights());
 
-        const Dataset test = small_test_set(w, 9);
-        std::vector<int> idx = {0, 1, 2, 3, 4, 5, 6, 7, 8};
-        Tensor y_fwd = a.forward(test.batch_x(idx));
-        Tensor y_inf = b.infer(test.batch_x(idx));
-        ASSERT_EQ(y_fwd.shape(), y_inf.shape());
-        for (size_t i = 0; i < y_fwd.size(); ++i) {
-            const float tol = 1e-4f *
-                std::max(1.0f, std::max(std::fabs(y_fwd[i]),
-                                        std::fabs(y_inf[i])));
-            ASSERT_NEAR(y_fwd[i], y_inf[i], tol) << workload_name(w);
+            const Dataset test = small_test_set(w, 32);
+            for (int batch : {1, 5, 16, 32}) {
+                std::vector<int> idx(static_cast<size_t>(batch));
+                for (int i = 0; i < batch; ++i)
+                    idx[static_cast<size_t>(i)] = i;
+                Tensor y_fwd = a.forward(test.batch_x(idx));
+                Tensor y_inf = b.infer(test.batch_x(idx));
+                ASSERT_EQ(y_fwd.shape(), y_inf.shape());
+                EXPECT_EQ(0, std::memcmp(y_fwd.data(), y_inf.data(),
+                                         sizeof(float) * y_fwd.size()))
+                    << name << " " << workload_name(w) << " batch "
+                    << batch;
+                const size_t row = y_inf.size() / static_cast<size_t>(batch);
+                for (int i = 0; i < batch; ++i) {
+                    Tensor y1 = b.infer(test.batch_x({i}));
+                    ASSERT_EQ(y1.size(), row);
+                    EXPECT_EQ(0, std::memcmp(y1.data(),
+                                             y_inf.data() +
+                                                 static_cast<size_t>(i) * row,
+                                             sizeof(float) * row))
+                        << name << " " << workload_name(w) << " batch "
+                        << batch << " sample " << i;
+                }
+            }
         }
     }
 }
